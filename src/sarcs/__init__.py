@@ -14,7 +14,6 @@ from .echo import (
     instantaneous_range,
     point_echo,
     scene_echo,
-    taylor_range,
 )
 from .experiments import (
     ExperimentSpec,
@@ -39,7 +38,6 @@ from .recovery import (
     RecoveryConfig,
     SparseProfile,
     cosamp,
-    cosamp_auto,
     relative_error,
 )
 
@@ -60,7 +58,6 @@ __all__ = [
     "Target",
     "add_noise",
     "cosamp",
-    "cosamp_auto",
     "flat_index",
     "grid_to_physical",
     "instantaneous_range",
@@ -75,7 +72,6 @@ __all__ = [
     "scene_echo",
     "select_measurements",
     "sidelobe_metrics",
-    "taylor_range",
     "unflatten",
     "xband_stripmap_params",
 ]

@@ -10,7 +10,7 @@ outputs so the expensive echo synthesis is cached across recovery runs:
 
 All randomness comes from seeds in the config file, so identical inputs
 produce byte-identical outputs at any thread count. Exit codes: 0 ok,
-1 config error, 2 I/O error, 3 numeric failure.
+1 config error, 2 I/O or file-format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -63,18 +63,18 @@ def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> l
     if sparsity is None:
         raise ConfigError("[recovery] sparsity: required when the scene does not fix it")
     selection = select_measurements(
-        cfg.recovery.measurements, cfg.params.nr * cfg.params.na, cfg.recovery.selection_seed
+        cfg.measurements, cfg.params.nr * cfg.params.na, cfg.selection_seed
     )
-    op = SensingOperator(cfg.params, cfg.grid, selection, cfg.recovery.cache_policy)
+    op = SensingOperator(cfg.params, cfg.grid, selection, cfg.cache_policy)
     y = echo.vec()[selection.indices]
     profile, diag = cosamp(
         op,
         y,
         RecoveryConfig(
             sparsity=sparsity,
-            residual_threshold=cfg.recovery.residual_threshold,
-            max_iterations=cfg.recovery.max_iterations,
-            stall_tolerance=cfg.recovery.stall_tolerance,
+            residual_threshold=cfg.residual_threshold,
+            max_iterations=cfg.max_iterations,
+            stall_tolerance=cfg.stall_tolerance,
         ),
     )
     storage.write_profile_csv(out_dir / "recovered.csv", profile, physical=True)
@@ -165,12 +165,12 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (OSError, storage.FormatError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
     summary = "\n".join(lines)
     (out_dir / "summary.txt").write_text(summary + "\n")
     print(summary)

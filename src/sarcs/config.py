@@ -5,6 +5,9 @@ output) with key = value pairs. Every key has a default matching the
 stock airborne X-band profile and its 31x31x11x11 search grid, so a
 minimal config only states what differs. Unknown sections or keys are
 rejected, and every parse error is reported with its section and key.
+
+All keys live in one table, ``_KEYS``: it drives key rejection, parsing,
+defaults and the effective-config rendering.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from .experiments import ExperimentSpec, random_scene
 from .model import (
@@ -24,75 +28,157 @@ from .model import (
 )
 from .recovery import SparseProfile
 
-__all__ = ["ConfigError", "RunConfig", "RecoverySettings", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config"]
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-_KNOWN_KEYS = {
-    "radar": {
-        "platform_speed",
-        "carrier_frequency",
-        "wavelength",
-        "chirp_rate",
-        "pulse_width",
-        "bandwidth",
-        "range_sample_rate",
-        "prf",
-        "range_samples",
-        "azimuth_samples",
-        "range_window_start",
-        "propagation_speed",
-    },
-    "grid": {
-        "x_origin",
-        "y_origin",
-        "vx_origin",
-        "vy_origin",
-        "bin_x",
-        "bin_y",
-        "bin_vx",
-        "bin_vy",
-        "nx",
-        "ny",
-        "nvx",
-        "nvy",
-    },
-    "scene": {"targets", "random_targets", "scene_seed", "snr_db", "noise_seed"},
-    "recovery": {
-        "sparsity",
-        "measurements",
-        "selection_seed",
-        "residual_threshold",
-        "max_iterations",
-        "stall_tolerance",
-        "cache_policy",
-    },
-    "baseline": {"velocity_hypotheses"},
-    "experiment": {
-        "mode",
-        "target_counts",
-        "measurement_counts",
-        "snr_values_db",
-        "trials_per_point",
-        "base_seed",
-        "threads",
-    },
-    "output": {"directory", "echo_magnitude_csv"},
-}
+def _integer(raw: str) -> int:
+    return int(raw, 0)
 
 
-@dataclass(frozen=True)
-class RecoverySettings:
-    sparsity: int | None
-    measurements: int
-    selection_seed: int
-    residual_threshold: float | None
-    max_iterations: int
-    stall_tolerance: float
-    cache_policy: str
+def _at_least_one(raw: str) -> int:
+    value = _integer(raw)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+def _boolean(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError("not a boolean")
+
+
+def _snr(raw: str) -> float | None:
+    value = float(raw)
+    return None if value == math.inf else value  # inf means noiseless
+
+
+def _cache_policy(raw: str) -> str:
+    policy = raw.strip()
+    if policy not in ("none", "full-row-cache"):
+        raise ValueError(f"unknown policy {policy!r}")
+    return policy
+
+
+def _list_of(caster) -> Callable[[str], tuple]:
+    def parse(raw: str) -> tuple:
+        items = [piece.strip() for piece in raw.replace("\n", ",").split(",")]
+        return tuple(caster(piece) for piece in items if piece)
+
+    return parse
+
+
+def _entries(raw: str) -> list[list[float]]:
+    """';'- or newline-separated entries of ','-separated numbers."""
+    entries = (entry.strip() for entry in raw.replace("\n", ";").split(";"))
+    return [[float(piece) for piece in entry.split(",")] for entry in entries if entry]
+
+
+def _targets(raw: str) -> tuple[Target, ...]:
+    targets = []
+    for fields in _entries(raw):
+        if len(fields) < 4 or len(fields) > 6:
+            raise ValueError(f"target {fields} needs 4 to 6 fields")
+        x, y, vx, vy = fields[:4]
+        re = fields[4] if len(fields) > 4 else 1.0
+        im = fields[5] if len(fields) > 5 else 0.0
+        targets.append(Target(x, y, vx, vy, complex(re, im)))
+    return tuple(targets)
+
+
+def _hypotheses(raw: str) -> tuple[tuple[float, float], ...]:
+    return tuple((vx, vy) for vx, vy in _entries(raw))
+
+
+def _render_list(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+def _render_targets(targets) -> str:
+    return "; ".join(
+        f"{t.x!r},{t.y!r},{t.vx!r},{t.vy!r},{t.reflectivity.real!r},{t.reflectivity.imag!r}"
+        for t in targets
+    )
+
+
+def _render_hypotheses(pairs) -> str:
+    return "; ".join(f"{vx!r},{vy!r}" for vx, vy in pairs)
+
+
+def _render_bool(value: bool) -> str:
+    return str(value).lower()
+
+
+class _Key(NamedTuple):
+    section: str
+    key: str
+    field: str  # RadarParams for [radar], ExtendedGrid for [grid], else RunConfig
+    parse: Callable[[str], Any]
+    render: Callable[[Any], str]
+    default: Any  # None: absent (or derived, for chirp_rate and range_window_start)
+
+
+_KEYS = (
+    _Key("radar", "platform_speed", "v", float, repr, 250.0),
+    _Key("radar", "carrier_frequency", "f0", float, repr, 9.375e9),
+    _Key("radar", "wavelength", "wavelength", float, repr, 0.032),
+    _Key("radar", "chirp_rate", "kr", float, repr, None),
+    _Key("radar", "pulse_width", "tp", float, repr, 10e-6),
+    _Key("radar", "bandwidth", "bandwidth", float, repr, 100e6),
+    _Key("radar", "range_sample_rate", "fs", float, repr, 120e6),
+    _Key("radar", "prf", "fa", float, repr, 300.0),
+    _Key("radar", "range_samples", "nr", _integer, repr, 1213),
+    _Key("radar", "azimuth_samples", "na", _integer, repr, 595),
+    _Key("radar", "range_window_start", "tau0", float, repr, None),
+    _Key("radar", "propagation_speed", "c", float, repr, 3.0e8),
+    _Key("grid", "x_origin", "x0", float, repr, 30000.0 - 7.5),
+    _Key("grid", "y_origin", "y0", float, repr, 0.0),
+    _Key("grid", "vx_origin", "vx0", float, repr, -10.0),
+    _Key("grid", "vy_origin", "vy0", float, repr, -10.0),
+    _Key("grid", "bin_x", "dx", float, repr, 0.5),
+    _Key("grid", "bin_y", "dy", float, repr, 0.5),
+    _Key("grid", "bin_vx", "dvx", float, repr, 2.0),
+    _Key("grid", "bin_vy", "dvy", float, repr, 2.0),
+    _Key("grid", "nx", "nx", _integer, repr, 31),
+    _Key("grid", "ny", "ny", _integer, repr, 31),
+    _Key("grid", "nvx", "nvx", _integer, repr, 11),
+    _Key("grid", "nvy", "nvy", _integer, repr, 11),
+    _Key("scene", "targets", "targets", _targets, _render_targets, ()),
+    _Key("scene", "random_targets", "random_k", _integer, repr, None),
+    _Key("scene", "scene_seed", "scene_seed", _integer, repr, 0),
+    _Key("scene", "snr_db", "snr_db", _snr, repr, None),
+    _Key("scene", "noise_seed", "noise_seed", _integer, repr, 0),
+    _Key("recovery", "sparsity", "sparsity", _integer, repr, None),
+    _Key("recovery", "measurements", "measurements", _at_least_one, repr, 100),
+    _Key("recovery", "selection_seed", "selection_seed", _integer, repr, 0),
+    _Key("recovery", "residual_threshold", "residual_threshold", float, repr, None),
+    _Key("recovery", "max_iterations", "max_iterations", _integer, repr, 50),
+    _Key("recovery", "stall_tolerance", "stall_tolerance", float, repr, 1e-4),
+    _Key("recovery", "cache_policy", "cache_policy", _cache_policy, str, "full-row-cache"),
+    _Key("baseline", "velocity_hypotheses", "hypotheses", _hypotheses, _render_hypotheses,
+         ((0.0, 0.0),)),
+    _Key("experiment", "mode", "experiment_mode", str.strip, str, None),
+    _Key("experiment", "target_counts", "target_counts", _list_of(int), _render_list, ()),
+    _Key("experiment", "measurement_counts", "measurement_counts", _list_of(int),
+         _render_list, ()),
+    _Key("experiment", "snr_values_db", "snr_values_db", _list_of(float), _render_list, ()),
+    _Key("experiment", "trials_per_point", "trials_per_point", _integer, repr, 1),
+    _Key("experiment", "base_seed", "base_seed", _integer, repr, 0),
+    _Key("experiment", "threads", "threads", _at_least_one, repr, 1),
+    _Key("output", "directory", "output_dir", str.strip, str, "out"),
+    _Key("output", "echo_magnitude_csv", "echo_magnitude_csv", _boolean, _render_bool, False),
+)
+
+_SECTIONS: dict[str, list[_Key]] = {}
+for _row in _KEYS:
+    _SECTIONS.setdefault(_row.section, []).append(_row)
 
 
 @dataclass(frozen=True)
@@ -104,7 +190,13 @@ class RunConfig:
     scene_seed: int
     snr_db: float | None
     noise_seed: int
-    recovery: RecoverySettings
+    sparsity: int | None
+    measurements: int
+    selection_seed: int
+    residual_threshold: float | None
+    max_iterations: int
+    stall_tolerance: float
+    cache_policy: str
     hypotheses: tuple[tuple[float, float], ...]
     experiment_mode: str | None
     target_counts: tuple[int, ...]
@@ -126,8 +218,8 @@ class RunConfig:
         return scene, truth
 
     def scene_sparsity(self) -> int | None:
-        if self.recovery.sparsity is not None:
-            return self.recovery.sparsity
+        if self.sparsity is not None:
+            return self.sparsity
         if self.random_k is not None:
             return self.random_k if self.random_k > 0 else None
         return len(self.targets) if self.targets else None
@@ -145,109 +237,39 @@ class RunConfig:
                 snr_values_db=self.snr_values_db,
                 trials_per_point=self.trials_per_point,
                 base_seed=self.base_seed,
-                cache_policy=self.recovery.cache_policy,
+                cache_policy=self.cache_policy,
                 workers=self.threads,
             )
         except ValueError as exc:
             raise ConfigError(f"[experiment]: {exc}") from exc
 
+    def _rendered_value(self, row: _Key):
+        """The value ``row`` renders, or None when the key is left out."""
+        if row.key == "sparsity":
+            return self.scene_sparsity()
+        if row.key == "targets":
+            # load_config rejects targets together with random_targets
+            return self.targets or None
+        if row.key == "scene_seed" and self.random_k is None:
+            return None
+        if row.key == "noise_seed" and self.snr_db is None:
+            return None
+        owner = {"radar": self.params, "grid": self.grid}.get(row.section, self)
+        return getattr(owner, row.field)
+
     def render_effective(self) -> str:
         """The fully resolved configuration, suitable for re-running."""
-        p, g, r = self.params, self.grid, self.recovery
-        lines = [
-            "[radar]",
-            f"platform_speed = {p.v!r}",
-            f"carrier_frequency = {p.f0!r}",
-            f"wavelength = {p.wavelength!r}",
-            f"chirp_rate = {p.kr!r}",
-            f"pulse_width = {p.tp!r}",
-            f"bandwidth = {p.bandwidth!r}",
-            f"range_sample_rate = {p.fs!r}",
-            f"prf = {p.fa!r}",
-            f"range_samples = {p.nr}",
-            f"azimuth_samples = {p.na}",
-            f"range_window_start = {p.tau0!r}",
-            f"propagation_speed = {p.c!r}",
-            "",
-            "[grid]",
-            f"x_origin = {g.x0!r}",
-            f"y_origin = {g.y0!r}",
-            f"vx_origin = {g.vx0!r}",
-            f"vy_origin = {g.vy0!r}",
-            f"bin_x = {g.dx!r}",
-            f"bin_y = {g.dy!r}",
-            f"bin_vx = {g.dvx!r}",
-            f"bin_vy = {g.dvy!r}",
-            f"nx = {g.nx}",
-            f"ny = {g.ny}",
-            f"nvx = {g.nvx}",
-            f"nvy = {g.nvy}",
-            "",
-            "[scene]",
-        ]
-        if self.random_k is not None:
-            lines.append(f"random_targets = {self.random_k}")
-            lines.append(f"scene_seed = {self.scene_seed}")
-        elif self.targets:
-            rendered = "; ".join(
-                f"{t.x!r},{t.y!r},{t.vx!r},{t.vy!r},"
-                f"{t.reflectivity.real!r},{t.reflectivity.imag!r}"
-                for t in self.targets
-            )
-            lines.append(f"targets = {rendered}")
-        if self.snr_db is not None:
-            lines.append(f"snr_db = {self.snr_db!r}")
-            lines.append(f"noise_seed = {self.noise_seed}")
-        lines.extend(
-            [
-                "",
-                "[recovery]",
-            ]
-        )
-        sparsity = self.scene_sparsity()
-        if sparsity is not None:
-            lines.append(f"sparsity = {sparsity}")
-        lines.append(f"measurements = {r.measurements}")
-        lines.append(f"selection_seed = {r.selection_seed}")
-        if r.residual_threshold is not None:
-            lines.append(f"residual_threshold = {r.residual_threshold!r}")
-        lines.append(f"max_iterations = {r.max_iterations}")
-        lines.append(f"stall_tolerance = {r.stall_tolerance!r}")
-        lines.append(f"cache_policy = {r.cache_policy}")
-        lines.extend(
-            [
-                "",
-                "[baseline]",
-                "velocity_hypotheses = "
-                + "; ".join(f"{vx!r},{vy!r}" for vx, vy in self.hypotheses),
-            ]
-        )
-        if self.experiment_mode is not None:
-            lines.extend(
-                [
-                    "",
-                    "[experiment]",
-                    f"mode = {self.experiment_mode}",
-                    "target_counts = " + ",".join(str(k) for k in self.target_counts),
-                    "measurement_counts = "
-                    + ",".join(str(m) for m in self.measurement_counts),
-                    "snr_values_db = "
-                    + ",".join(repr(s) for s in self.snr_values_db),
-                    f"trials_per_point = {self.trials_per_point}",
-                    f"base_seed = {self.base_seed}",
-                    f"threads = {self.threads}",
-                ]
-            )
-        lines.extend(
-            [
-                "",
-                "[output]",
-                f"directory = {self.output_dir}",
-                f"echo_magnitude_csv = {str(self.echo_magnitude_csv).lower()}",
-                "",
-            ]
-        )
-        return "\n".join(lines)
+        blocks = []
+        for section, rows in _SECTIONS.items():
+            if section == "experiment" and self.experiment_mode is None:
+                continue
+            lines = [f"[{section}]"]
+            for row in rows:
+                value = self._rendered_value(row)
+                if value is not None:
+                    lines.append(f"{row.key} = {row.render(value)}")
+            blocks.append("\n".join(lines) + "\n")
+        return "\n".join(blocks)
 
 
 def _truth_profile(scene: Scene, grid: ExtendedGrid) -> SparseProfile | None:
@@ -272,61 +294,6 @@ def _truth_profile(scene: Scene, grid: ExtendedGrid) -> SparseProfile | None:
         return None
 
 
-def _fail(section: str, key: str, message: str) -> None:
-    raise ConfigError(f"[{section}] {key}: {message}")
-
-
-def _get(cp, section, key, caster, default, caster_name):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return caster(raw)
-    except ValueError:
-        _fail(section, key, f"cannot parse {raw!r} as {caster_name}")
-
-
-def _get_float(cp, section, key, default=None):
-    return _get(cp, section, key, float, default, "a number")
-
-
-def _get_int(cp, section, key, default=None):
-    return _get(cp, section, key, lambda raw: int(raw, 0), default, "an integer")
-
-
-def _get_bool(cp, section, key, default=False):
-    raw = _get(cp, section, key, str, None, "a boolean")
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    _fail(section, key, f"cannot parse {raw!r} as a boolean")
-
-
-def _parse_list(raw: str, caster):
-    items = [piece.strip() for piece in raw.replace("\n", ",").split(",")]
-    return tuple(caster(piece) for piece in items if piece)
-
-
-def _parse_targets(raw: str) -> tuple[Target, ...]:
-    targets = []
-    for entry in raw.replace("\n", ";").split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
-        fields = [float(piece) for piece in entry.split(",")]
-        if len(fields) < 4 or len(fields) > 6:
-            raise ValueError(f"target {entry!r} needs 4 to 6 fields")
-        x, y, vx, vy = fields[:4]
-        re = fields[4] if len(fields) > 4 else 1.0
-        im = fields[5] if len(fields) > 5 else 0.0
-        targets.append(Target(x, y, vx, vy, complex(re, im)))
-    return tuple(targets)
-
-
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     # '#' only: ';' separates list entries (targets, velocity hypotheses)
@@ -334,135 +301,45 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"[{section}]: unknown section")
+        known = {row.key for row in _SECTIONS[section]}
         for key in cp.options(section):
-            if key not in _KNOWN_KEYS[section]:
-                _fail(section, key, "unknown key")
+            if key not in known:
+                raise ConfigError(f"[{section}] {key}: unknown key")
 
-    grid = ExtendedGrid(
-        x0=_get_float(cp, "grid", "x_origin", 30000.0 - 7.5),
-        y0=_get_float(cp, "grid", "y_origin", 0.0),
-        vx0=_get_float(cp, "grid", "vx_origin", -10.0),
-        vy0=_get_float(cp, "grid", "vy_origin", -10.0),
-        dx=_get_float(cp, "grid", "bin_x", 0.5),
-        dy=_get_float(cp, "grid", "bin_y", 0.5),
-        dvx=_get_float(cp, "grid", "bin_vx", 2.0),
-        dvy=_get_float(cp, "grid", "bin_vy", 2.0),
-        nx=_get_int(cp, "grid", "nx", 31),
-        ny=_get_int(cp, "grid", "ny", 31),
-        nvx=_get_int(cp, "grid", "nvx", 11),
-        nvy=_get_int(cp, "grid", "nvy", 11),
-    )
+    values: dict[str, dict[str, Any]] = {"radar": {}, "grid": {}, "run": {}}
+    for row in _KEYS:
+        value = row.default
+        if cp.has_option(row.section, row.key):
+            raw = cp.get(row.section, row.key)
+            try:
+                value = row.parse(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"[{row.section}] {row.key}: invalid value {raw!r}: {exc}"
+                ) from exc
+        group = row.section if row.section in ("radar", "grid") else "run"
+        values[group][row.field] = value
 
-    c = _get_float(cp, "radar", "propagation_speed", 3.0e8)
-    tp = _get_float(cp, "radar", "pulse_width", 10e-6)
-    bandwidth = _get_float(cp, "radar", "bandwidth", 100e6)
-    tau0 = _get_float(cp, "radar", "range_window_start", 2.0 * grid.x0 / c)
+    radar, run = values["radar"], values["run"]
     try:
-        params = RadarParams(
-            v=_get_float(cp, "radar", "platform_speed", 250.0),
-            f0=_get_float(cp, "radar", "carrier_frequency", 9.375e9),
-            wavelength=_get_float(cp, "radar", "wavelength", 0.032),
-            kr=_get_float(cp, "radar", "chirp_rate", bandwidth / tp),
-            tp=tp,
-            bandwidth=bandwidth,
-            fs=_get_float(cp, "radar", "range_sample_rate", 120e6),
-            fa=_get_float(cp, "radar", "prf", 300.0),
-            nr=_get_int(cp, "radar", "range_samples", 1213),
-            na=_get_int(cp, "radar", "azimuth_samples", 595),
-            tau0=tau0,
-            c=c,
-        )
+        grid = ExtendedGrid(**values["grid"])
+        if radar["kr"] is None:
+            radar["kr"] = radar["bandwidth"] / radar["tp"]
+        if radar["tau0"] is None:
+            radar["tau0"] = 2.0 * grid.x0 / radar["c"]
+        params = RadarParams(**radar)
         check_simulation_geometry(params, grid)
     except ValueError as exc:
         raise ConfigError(f"[radar]/[grid]: {exc}") from exc
 
-    targets = ()
-    if cp.has_option("scene", "targets"):
-        try:
-            targets = _parse_targets(cp.get("scene", "targets"))
-        except ValueError as exc:
-            _fail("scene", "targets", str(exc))
-    random_k = _get_int(cp, "scene", "random_targets", None)
-    if targets and random_k is not None:
-        _fail("scene", "random_targets", "give either explicit targets or a random count")
-    snr_db = _get_float(cp, "scene", "snr_db", None)
-    if snr_db is not None and snr_db == math.inf:
-        snr_db = None
-
-    recovery = RecoverySettings(
-        sparsity=_get_int(cp, "recovery", "sparsity", None),
-        measurements=_get_int(cp, "recovery", "measurements", 100),
-        selection_seed=_get_int(cp, "recovery", "selection_seed", 0),
-        residual_threshold=_get_float(cp, "recovery", "residual_threshold", None),
-        max_iterations=_get_int(cp, "recovery", "max_iterations", 50),
-        stall_tolerance=_get_float(cp, "recovery", "stall_tolerance", 1e-4),
-        cache_policy=_get(
-            cp, "recovery", "cache_policy", str, "full-row-cache", "a string"
-        ).strip(),
-    )
-    if recovery.cache_policy not in ("none", "full-row-cache"):
-        _fail("recovery", "cache_policy", f"unknown policy {recovery.cache_policy!r}")
-    if recovery.measurements < 1:
-        _fail("recovery", "measurements", "must be at least 1")
-
-    hypotheses = ((0.0, 0.0),)
-    if cp.has_option("baseline", "velocity_hypotheses"):
-        raw = cp.get("baseline", "velocity_hypotheses")
-        try:
-            pairs = []
-            for entry in raw.replace("\n", ";").split(";"):
-                entry = entry.strip()
-                if not entry:
-                    continue
-                vx, vy = (float(piece) for piece in entry.split(","))
-                pairs.append((vx, vy))
-            hypotheses = tuple(pairs)
-        except ValueError as exc:
-            _fail("baseline", "velocity_hypotheses", f"cannot parse {raw!r}: {exc}")
-
-    mode = _get(cp, "experiment", "mode", str, None, "a string")
-    if mode is not None:
-        mode = mode.strip()
-
-    target_counts = ()
-    if cp.has_option("experiment", "target_counts"):
-        target_counts = _parse_list(cp.get("experiment", "target_counts"), int)
-    measurement_counts = ()
-    if cp.has_option("experiment", "measurement_counts"):
-        measurement_counts = _parse_list(cp.get("experiment", "measurement_counts"), int)
-    snr_values = ()
-    if cp.has_option("experiment", "snr_values_db"):
-        snr_values = _parse_list(cp.get("experiment", "snr_values_db"), float)
-
-    threads = _get_int(cp, "experiment", "threads", 1)
-    if threads < 1:
-        _fail("experiment", "threads", "must be at least 1")
-
-    return RunConfig(
-        params=params,
-        grid=grid,
-        targets=targets,
-        random_k=random_k,
-        scene_seed=_get_int(cp, "scene", "scene_seed", 0),
-        snr_db=snr_db,
-        noise_seed=_get_int(cp, "scene", "noise_seed", 0),
-        recovery=recovery,
-        hypotheses=hypotheses,
-        experiment_mode=mode,
-        target_counts=target_counts,
-        measurement_counts=measurement_counts,
-        snr_values_db=snr_values,
-        trials_per_point=_get_int(cp, "experiment", "trials_per_point", 1),
-        base_seed=_get_int(cp, "experiment", "base_seed", 0),
-        threads=threads,
-        output_dir=_get(cp, "output", "directory", str, "out", "a string").strip(),
-        echo_magnitude_csv=_get_bool(cp, "output", "echo_magnitude_csv", False),
-    )
+    if run["targets"] and run["random_k"] is not None:
+        raise ConfigError(
+            "[scene] random_targets: give either explicit targets or a random count"
+        )
+    return RunConfig(params=params, grid=grid, **run)

@@ -32,7 +32,6 @@ __all__ = [
     "EchoMatrix",
     "EmptyEchoWarning",
     "instantaneous_range",
-    "taylor_range",
     "unit_echo_samples",
     "point_echo",
     "scene_echo",
@@ -84,21 +83,6 @@ def instantaneous_range(x, y, vx, vy, eta, v):
     xr = x + vx * eta
     yr = y + (vy - v) * eta
     return np.sqrt(xr * xr + yr * yr)
-
-
-def taylor_range(x, y, vx, vy, eta, v):
-    """Second-order expansion of the range history around eta_c.
-
-    Analysis utility only; the simulator and the dictionary both use the
-    exact range. Requires x > 0 and vy != v.
-    """
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("expansion point requires x > 0")
-    if np.any(np.asarray(vy) == v):
-        raise ValueError("azimuth speed equals platform speed: eta_c is singular")
-    eta_c = y / (v - vy)
-    de = eta - eta_c
-    return x + vx * de + (vy - v) ** 2 / (2.0 * x) * de * de
 
 
 def unit_echo_samples(params: RadarParams, x, y, vx, vy, tau, eta) -> np.ndarray:

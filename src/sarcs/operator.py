@@ -17,10 +17,8 @@ import numpy as np
 from .echo import unit_echo_samples
 from .model import (
     ExtendedGrid,
-    GridCoord,
     RadarParams,
     check_simulation_geometry,
-    grid_to_physical,
     physical_columns,
 )
 from .recovery import SparseProfile
@@ -37,6 +35,12 @@ _BLOCK_ELEMENTS = 2_000_000
 
 # Refuse caches beyond ~6.4 GB; fall back to cache_policy="none" instead.
 _MAX_CACHE_ELEMENTS = 400_000_000
+
+
+def _squared_column_norms(block: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", block.real, block.real) + np.einsum(
+        "ij,ij->j", block.imag, block.imag
+    )
 
 
 def _rand_below(rng: np.random.Generator, n: int) -> int:
@@ -152,18 +156,22 @@ class SensingOperator:
         x, y, vx, vy = physical_columns(self.grid, flat)
         return unit_echo_samples(self.params, x, y, vx, vy, self._tau, self._eta)
 
-    def _block_size(self) -> int:
-        return max(1, _BLOCK_ELEMENTS // self.n_rows)
+    def _blocks(self):
+        """Consecutive column blocks as (start, stop, M-by-B block). Callers
+        ``del`` each block before the next is built, so only one is alive."""
+        step = max(1, _BLOCK_ELEMENTS // self.n_rows)
+        for start in range(0, self.n_cols, step):
+            stop = min(start + step, self.n_cols)
+            yield start, stop, self._evaluate_block(np.arange(start, stop))
 
     def _ensure_cache(self) -> np.ndarray | None:
         if self.cache_policy != "full-row-cache":
             return None
         if self._cache is None:
             cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex128)
-            step = self._block_size()
-            for start in range(0, self.n_cols, step):
-                stop = min(start + step, self.n_cols)
-                cache[:, start:stop] = self._evaluate_block(np.arange(start, stop))
+            for start, stop, block in self._blocks():
+                cache[:, start:stop] = block
+                del block
             self._cache = cache
         return self._cache
 
@@ -174,18 +182,6 @@ class SensingOperator:
         if cache is not None:
             return cache[:, flat]
         return self._evaluate_block(flat)
-
-    def atom_sample(self, coord, m: int, n: int) -> complex:
-        """Single dictionary entry: atom of ``coord`` at sample (m, n)."""
-        if not isinstance(coord, GridCoord):
-            raise TypeError("coord must be a GridCoord")
-        if not (0 <= m < self.params.nr and 0 <= n < self.params.na):
-            raise ValueError("sample index outside the echo matrix")
-        x, y, vx, vy = grid_to_physical(coord, self.grid)
-        tau = self.params.tau0 + m / self.params.fs
-        eta = (n - self.params.na / 2) / self.params.fa
-        value = unit_echo_samples(self.params, x, y, vx, vy, tau, eta)
-        return complex(value)
 
     def forward(self, profile) -> np.ndarray:
         """Apply the restricted dictionary: y[i] = sum_g a[g] * atom_g[i].
@@ -207,10 +203,9 @@ class SensingOperator:
         if cache is not None:
             return cache @ dense
         out = np.zeros(self.n_rows, dtype=np.complex128)
-        step = self._block_size()
-        for start in range(0, self.n_cols, step):
-            stop = min(start + step, self.n_cols)
-            out += self._evaluate_block(np.arange(start, stop)) @ dense[start:stop]
+        for start, stop, block in self._blocks():
+            out += block @ dense[start:stop]
+            del block
         return out
 
     def adjoint(self, residual: np.ndarray) -> np.ndarray:
@@ -223,50 +218,21 @@ class SensingOperator:
         if cache is not None:
             return np.conj(r_conj @ cache)
         out = np.empty(self.n_cols, dtype=np.complex128)
-        step = self._block_size()
-        for start in range(0, self.n_cols, step):
-            stop = min(start + step, self.n_cols)
-            out[start:stop] = np.conj(r_conj @ self._evaluate_block(np.arange(start, stop)))
+        for start, stop, block in self._blocks():
+            out[start:stop] = np.conj(r_conj @ block)
+            del block
         return out
-
-    def save_cache(self, path) -> None:
-        """Persist the restricted matrix so later runs skip regeneration."""
-        from . import storage
-
-        if self.cache_policy != "full-row-cache":
-            raise ValueError("cache persistence requires cache_policy='full-row-cache'")
-        storage.write_complex_matrix(path, self._ensure_cache(), storage.CACHE_MAGIC)
-
-    def load_cache(self, path) -> None:
-        """Adopt a previously saved restricted matrix (shape-checked)."""
-        from . import storage
-
-        if self.cache_policy != "full-row-cache":
-            raise ValueError("cache persistence requires cache_policy='full-row-cache'")
-        cache = storage.read_complex_matrix(path, storage.CACHE_MAGIC)
-        if cache.shape != (self.n_rows, self.n_cols):
-            raise ValueError(
-                f"cached matrix is {cache.shape}, operator needs "
-                f"({self.n_rows}, {self.n_cols})"
-            )
-        self._cache = cache
-        self._norms = None
 
     def column_norms(self) -> np.ndarray:
         """l2 norm of every restricted column; zero marks unseen atoms."""
         if self._norms is None:
             cache = self._ensure_cache()
             if cache is not None:
-                norms_sq = np.einsum("ij,ij->j", cache.real, cache.real)
-                norms_sq += np.einsum("ij,ij->j", cache.imag, cache.imag)
+                norms_sq = _squared_column_norms(cache)
             else:
                 norms_sq = np.empty(self.n_cols)
-                step = self._block_size()
-                for start in range(0, self.n_cols, step):
-                    stop = min(start + step, self.n_cols)
-                    block = self._evaluate_block(np.arange(start, stop))
-                    norms_sq[start:stop] = np.einsum(
-                        "ij,ij->j", block.real, block.real
-                    ) + np.einsum("ij,ij->j", block.imag, block.imag)
+                for start, stop, block in self._blocks():
+                    norms_sq[start:stop] = _squared_column_norms(block)
+                    del block
             self._norms = np.sqrt(norms_sq)
         return self._norms

@@ -230,43 +230,6 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     return profile, diag
 
 
-def cosamp_auto(
-    op,
-    y: np.ndarray,
-    max_sparsity: int,
-    residual_threshold: float | None = None,
-    max_iterations: int = 50,
-    stall_tolerance: float = 1e-4,
-):
-    """Convenience wrapper for unknown sparsity: grow k until the residual
-    threshold is met (or max_sparsity is reached) and return the best run.
-
-    Kept out of the experiment harness, which always knows the true target
-    count; useful for exploratory recovery of real measurements.
-    """
-    if max_sparsity < 1:
-        raise ValueError("max_sparsity must be at least 1")
-    threshold = (
-        residual_threshold
-        if residual_threshold is not None
-        else 1e-6 * float(np.linalg.norm(y))
-    )
-    best = None
-    for sparsity in range(1, max_sparsity + 1):
-        cfg = RecoveryConfig(
-            sparsity=sparsity,
-            residual_threshold=threshold,
-            max_iterations=max_iterations,
-            stall_tolerance=stall_tolerance,
-        )
-        profile, diag = cosamp(op, y, cfg)
-        if best is None or diag.final_residual_norm < best[1].final_residual_norm:
-            best = (profile, diag)
-        if diag.final_residual_norm < threshold:
-            return profile, diag
-    return best
-
-
 def relative_error(estimate: SparseProfile, truth: SparseProfile) -> float:
     """l2 error of the dense embeddings, normalized by the truth norm."""
     if estimate.grid != truth.grid:

@@ -3,8 +3,8 @@
 The binary container is little-endian throughout: a 16-byte header
 (8-byte magic, uint32 row count, uint32 column count) followed by the
 row-major samples, each stored as a float64 real/imaginary pair. Magic
-``SARECHO1`` marks a raw nr-by-na echo; ``SARCACH1`` marks a cached
-M-by-N restricted dictionary saved to skip regeneration across sweeps.
+``SARECHO1`` marks a raw nr-by-na echo. A file that breaks this layout,
+or a profile CSV without its grid columns, raises :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .recovery import CosampDiagnostics, SparseProfile
 
 __all__ = [
     "ECHO_MAGIC",
-    "CACHE_MAGIC",
+    "FormatError",
     "write_echo",
     "read_echo",
     "write_complex_matrix",
@@ -34,41 +34,45 @@ __all__ = [
 ]
 
 ECHO_MAGIC = b"SARECHO1"
-CACHE_MAGIC = b"SARCACH1"
 _HEADER = struct.Struct("<8sII")
+_PROFILE_COLUMNS = ("n1", "n2", "p", "q", "re", "im")
 
 
-def write_complex_matrix(path, matrix: np.ndarray, magic: bytes = ECHO_MAGIC) -> None:
+class FormatError(ValueError):
+    """An input file does not follow its documented format."""
+
+
+def write_complex_matrix(path, matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2:
         raise ValueError("container holds 2-D complex matrices")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, matrix.shape[0], matrix.shape[1]))
+        fh.write(_HEADER.pack(ECHO_MAGIC, matrix.shape[0], matrix.shape[1]))
         fh.write(np.ascontiguousarray(matrix).astype("<c16").tobytes())
 
 
-def read_complex_matrix(path, magic: bytes = ECHO_MAGIC) -> np.ndarray:
+def read_complex_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
+            raise FormatError(f"{path}: truncated header")
         found, rows, cols = _HEADER.unpack(header)
-        if found != magic:
-            raise ValueError(f"{path}: expected magic {magic!r}, found {found!r}")
+        if found != ECHO_MAGIC:
+            raise FormatError(f"{path}: expected magic {ECHO_MAGIC!r}, found {found!r}")
         payload = fh.read()
     expected = rows * cols * 16
     if len(payload) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
+        raise FormatError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
     data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     return data.reshape(rows, cols)
 
 
 def write_echo(path, echo: EchoMatrix) -> None:
-    write_complex_matrix(path, echo.samples, ECHO_MAGIC)
+    write_complex_matrix(path, echo.samples)
 
 
 def read_echo(path, params: RadarParams) -> EchoMatrix:
-    samples = read_complex_matrix(path, ECHO_MAGIC)
+    samples = read_complex_matrix(path)
     if samples.shape != (params.nr, params.na):
         raise ValueError(
             f"{path}: echo is {samples.shape}, config expects ({params.nr}, {params.na})"
@@ -112,17 +116,23 @@ def write_profile_csv(path, profile: SparseProfile, physical: bool = False) -> N
 
 
 def read_profile_csv(path, grid: ExtendedGrid) -> SparseProfile:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty profile file")
-    columns = lines[0].split(",")
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file") from exc
+    columns = lines[0].split(",") if lines else []
+    missing = [name for name in _PROFILE_COLUMNS if name not in columns]
+    if missing:
+        raise FormatError(f"{path}: profile CSV lacks columns {','.join(missing)}")
     entries = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         fields = dict(zip(columns, line.split(",")))
-        coord = GridCoord(
-            int(fields["n1"]), int(fields["n2"]), int(fields["p"]), int(fields["q"])
-        )
-        entries.append((coord, complex(float(fields["re"]), float(fields["im"]))))
+        try:
+            n1, n2, p, q = (int(fields[name]) for name in _PROFILE_COLUMNS[:4])
+            value = complex(float(fields["re"]), float(fields["im"]))
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"{path}: line {number}: cannot parse {line!r}") from exc
+        entries.append((GridCoord(n1, n2, p, q), value))
     return SparseProfile(tuple(entries), grid)
 
 

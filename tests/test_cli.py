@@ -95,13 +95,14 @@ targets = 29996.5,2.5,0.0,0.0 ; 30000.0,10.0,10.0,0.0 ; 30004.0,8.0,4.0,4.0
         assert (rows, cols) == (1213, 595)
 
 
-class TestImageCs:
-    @pytest.fixture
-    def simulated(self, tmp_path):
-        cfg_path = write_config(tmp_path, SMALL_SCENE, "sim")
-        assert main(["simulate", "--config", str(cfg_path)]) == 0
-        return cfg_path, tmp_path / "sim"
+@pytest.fixture
+def simulated(tmp_path):
+    cfg_path = write_config(tmp_path, SMALL_SCENE, "sim")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    return cfg_path, tmp_path / "sim"
 
+
+class TestImageCs:
     def test_recovers_scene(self, tmp_path, simulated, capsys):
         cfg_path, sim = simulated
         code = main([
@@ -246,6 +247,43 @@ class TestErrorPaths:
         path = tmp_path / "bad.ini"
         path.write_text("[radar]\nwarp_factor = 9\n")
         assert main(["simulate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw[:10],
+            lambda raw: b"SARXXXX1" + raw[8:],
+            lambda raw: raw[:-8],
+        ],
+        ids=["truncated-header", "wrong-magic", "short-payload"],
+    )
+    def test_corrupt_echo_is_format_error(self, tmp_path, simulated, capsys, corrupt):
+        cfg_path, sim = simulated
+        echo = sim / "echo.bin"
+        echo.write_bytes(corrupt(echo.read_bytes()))
+        code = main(["image-cs", "--config", str(cfg_path), "--echo", str(echo)])
+        assert code == 2
+        assert "echo.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"a,b\n1,2\n",
+            b"flat_index,n1,n2,p,q,re,im\n0,0,0,x,0,1.0,0.0\n",
+            b"\xff\xfe\x00",
+        ],
+        ids=["no-grid-columns", "non-numeric-field", "binary"],
+    )
+    def test_malformed_truth_is_format_error(self, tmp_path, simulated, capsys, content):
+        cfg_path, sim = simulated
+        truth = tmp_path / "bad_truth.csv"
+        truth.write_bytes(content)
+        code = main([
+            "image-cs", "--config", str(cfg_path),
+            "--echo", str(sim / "echo.bin"), "--truth", str(truth),
+        ])
+        assert code == 2
+        assert "bad_truth.csv" in capsys.readouterr().err
 
     def test_missing_echo_file_is_io_error(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_SCENE, "out")

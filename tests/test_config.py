@@ -1,4 +1,4 @@
-import math
+from pathlib import Path
 
 import pytest
 
@@ -48,8 +48,8 @@ class TestDefaults:
         assert cfg.params.tau0 == pytest.approx(2 * 29992.5 / 3e8)
         assert (cfg.grid.nx, cfg.grid.ny, cfg.grid.nvx, cfg.grid.nvy) == (31, 31, 11, 11)
         assert cfg.grid.size == 116281
-        assert cfg.recovery.measurements == 100
-        assert cfg.recovery.cache_policy == "full-row-cache"
+        assert cfg.measurements == 100
+        assert cfg.cache_policy == "full-row-cache"
         assert cfg.targets == ()
         assert cfg.hypotheses == ((0.0, 0.0),)
 
@@ -112,9 +112,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[radar\] pulsewidth"):
             load_config(write(tmp_path, "[radar]\npulsewidth = 1\n"))
 
-    def test_unparsable_value_names_key(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"\[grid\] nx"):
-            load_config(write(tmp_path, "[grid]\nnx = many\n"))
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("grid", "nx", "many"),
+            ("experiment", "target_counts", "1,x"),
+            ("experiment", "measurement_counts", "8;16"),
+            ("experiment", "snr_values_db", "5,loud"),
+            ("baseline", "velocity_hypotheses", "0,0,0"),
+        ],
+    )
+    def test_unparsable_value_names_key(self, tmp_path, section, key, value):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
     def test_bad_cache_policy(self, tmp_path):
         with pytest.raises(ConfigError, match="cache_policy"):
@@ -135,6 +145,14 @@ class TestValidation:
 
 
 class TestEffectiveConfig:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "smoke"])
+    def test_shipped_configs_render_golden(self, name):
+        # effective_config.ini is a run output: any change to it must be deliberate
+        root = Path(__file__).resolve().parent
+        cfg = load_config(root.parent / "configs" / f"{name}.ini")
+        golden = (root / "data" / f"{name}_effective_config.ini").read_bytes()
+        assert cfg.render_effective().encode() == golden
+
     def test_render_round_trips(self, tmp_path):
         text = SMALL_RADAR + "\n[scene]\ntargets = 2004.0,1.0,0.0,0.0\n[recovery]\nmeasurements = 24\n"
         cfg = load_config(write(tmp_path, text))
@@ -145,8 +163,8 @@ class TestEffectiveConfig:
         assert back.targets == cfg.targets
         # sparsity is resolved from the scene in the effective rendering
         assert back.scene_sparsity() == cfg.scene_sparsity()
-        assert back.recovery.measurements == cfg.recovery.measurements
-        assert back.recovery.cache_policy == cfg.recovery.cache_policy
+        assert back.measurements == cfg.measurements
+        assert back.cache_policy == cfg.cache_policy
         assert back.render_effective() == rendered
 
     def test_experiment_section_round_trips(self, tmp_path):

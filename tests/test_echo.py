@@ -12,7 +12,6 @@ from sarcs.echo import (
     point_echo,
     scene_echo,
     support_mean_power,
-    taylor_range,
     unit_echo_samples,
 )
 from sarcs.model import Scene, Target
@@ -39,37 +38,6 @@ class TestInstantaneousRange:
         etas = np.linspace(-1.0, 1.0, 7)
         got = instantaneous_range(30000.0, 0.0, 0.0, 0.0, etas, 250.0)
         assert got.shape == etas.shape
-
-
-class TestTaylorRange:
-    def test_expansion_point_is_exact(self):
-        assert taylor_range(30000.0, 0.0, 0.0, 0.0, 0.0, 250.0) == 30000.0
-
-    def test_static_target_quadratic_term(self):
-        expected = 30000.0 + 250.0**2 / (2.0 * 30000.0)
-        got = taylor_range(30000.0, 0.0, 0.0, 0.0, 1.0, 250.0)
-        assert got == pytest.approx(expected, rel=1e-15)
-        exact = instantaneous_range(30000.0, 0.0, 0.0, 0.0, 1.0, 250.0)
-        assert got == pytest.approx(exact, abs=1e-3)
-
-    def test_zero_doppler_time_recovers_x(self):
-        x, y, vx, vy, v = 30000.0, 12.0, 3.0, 7.0, 250.0
-        eta_c = y / (v - vy)
-        assert taylor_range(x, y, vx, vy, eta_c, v) == x
-
-    def test_quartic_error_bound_over_aperture(self):
-        etas = np.linspace(-1.0, 1.0, 201)
-        exact = instantaneous_range(30000.0, 0.0, 0.0, 0.0, etas, 250.0)
-        approx = taylor_range(30000.0, 0.0, 0.0, 0.0, etas, 250.0)
-        assert np.max(np.abs(exact - approx)) < 1e-3
-
-    def test_singular_zero_doppler_rejected(self):
-        with pytest.raises(ValueError, match="platform speed"):
-            taylor_range(30000.0, 0.0, 0.0, 250.0, 0.0, 250.0)
-
-    def test_nonpositive_x_rejected(self):
-        with pytest.raises(ValueError, match="x > 0"):
-            taylor_range(0.0, 0.0, 0.0, 0.0, 0.0, 250.0)
 
 
 class TestPointEcho:

@@ -87,29 +87,28 @@ class TestOperatorConstruction:
 
 
 class TestAtomSample:
-    def test_static_grid_point_phase_closed_form(self, params, grid):
-        sel = select_measurements(4, params.nr * params.na, seed=0)
+    @staticmethod
+    def atom_entry(params, grid, coord, m, n):
+        """Dictionary entry of ``coord`` at echo sample (m, n), read through
+        an operator whose selection is that single sample."""
+        sel = MeasurementSelection(np.array([m + params.nr * n]), seed=0)
         op = SensingOperator(params, grid, sel)
+        return complex(op.columns(np.array([flat_index(coord, grid)]))[0, 0])
+
+    def test_static_grid_point_phase_closed_form(self, params, grid):
         # cell at the grid origin with vx = 0, vy = 0 (index 1 on each
         # velocity axis); delay lands exactly on sample m = 0 at eta = 0
         coord = GridCoord(0, 0, 1, 1)
         assert grid_to_physical(coord, grid) == (grid.x0, 0.0, 0.0, 0.0)
-        value = op.atom_sample(coord, m=0, n=params.na // 2)
+        value = self.atom_entry(params, grid, coord, m=0, n=params.na // 2)
         expected = cmath.exp(-4j * math.pi * params.f0 * grid.x0 / params.c)
         assert value == pytest.approx(expected, abs=1e-9)
         assert abs(value) == pytest.approx(1.0, rel=1e-12)
 
     def test_sample_outside_envelopes_is_zero(self, params, grid):
-        sel = select_measurements(4, params.nr * params.na, seed=0)
-        op = SensingOperator(params, grid, sel)
         pulse_samples = round(params.tp * params.fs)
-        assert op.atom_sample(GridCoord(0, 0, 1, 1), m=pulse_samples + 1, n=16) == 0.0
-
-    def test_rejects_bad_sample_index(self, params, grid):
-        sel = select_measurements(4, params.nr * params.na, seed=0)
-        op = SensingOperator(params, grid, sel)
-        with pytest.raises(ValueError):
-            op.atom_sample(GridCoord(0, 0, 0, 0), m=params.nr, n=0)
+        coord = GridCoord(0, 0, 1, 1)
+        assert self.atom_entry(params, grid, coord, m=pulse_samples + 1, n=16) == 0.0
 
 
 class TestAtomEchoConsistency:
@@ -238,32 +237,3 @@ class TestColumnNorms:
         direct = SensingOperator(params, grid, sel, cache_policy="none")
         cached = SensingOperator(params, grid, sel, cache_policy="full-row-cache")
         assert np.allclose(direct.column_norms(), cached.column_norms(), rtol=1e-12)
-
-
-class TestCachePersistence:
-    def test_roundtrip(self, tmp_path, params, grid):
-        sel = select_measurements(10, params.nr * params.na, seed=5)
-        op = SensingOperator(params, grid, sel, cache_policy="full-row-cache")
-        path = tmp_path / "rows.bin"
-        op.save_cache(path)
-        fresh = SensingOperator(params, grid, sel, cache_policy="full-row-cache")
-        fresh.load_cache(path)
-        assert np.array_equal(fresh._cache, op._ensure_cache())
-
-    def test_shape_mismatch_rejected(self, tmp_path, params, grid):
-        sel = select_measurements(10, params.nr * params.na, seed=5)
-        op = SensingOperator(params, grid, sel, cache_policy="full-row-cache")
-        path = tmp_path / "rows.bin"
-        op.save_cache(path)
-        other = SensingOperator(
-            params, grid, select_measurements(11, params.nr * params.na, seed=5),
-            cache_policy="full-row-cache",
-        )
-        with pytest.raises(ValueError, match="operator needs"):
-            other.load_cache(path)
-
-    def test_requires_cache_policy(self, tmp_path, params, grid):
-        sel = select_measurements(10, params.nr * params.na, seed=5)
-        op = SensingOperator(params, grid, sel, cache_policy="none")
-        with pytest.raises(ValueError, match="full-row-cache"):
-            op.save_cache(tmp_path / "rows.bin")

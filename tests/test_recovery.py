@@ -4,13 +4,7 @@ import pytest
 from sarcs.echo import point_echo
 from sarcs.model import GridCoord, Target, flat_index, grid_to_physical, unflatten
 from sarcs.operator import SensingOperator, select_measurements
-from sarcs.recovery import (
-    RecoveryConfig,
-    SparseProfile,
-    cosamp,
-    cosamp_auto,
-    relative_error,
-)
+from sarcs.recovery import RecoveryConfig, SparseProfile, cosamp, relative_error
 
 
 def make_operator(params, grid, m, seed, policy="none"):
@@ -223,23 +217,6 @@ class TestCosampContracts:
         )
         assert diag.iterations == 2
         assert diag.halt_reason == "max_iterations"
-
-    def test_auto_sparsity_finds_the_target_count(self, params, grid):
-        op = make_operator(params, grid, m=24, seed=41)
-        truth = SparseProfile(
-            ((GridCoord(0, 1, 1, 0), 1.0), (GridCoord(3, 2, 0, 1), 0.7j)), grid
-        )
-        y = op.forward(truth)
-        profile, diag = cosamp_auto(op, y, max_sparsity=4)
-        assert np.array_equal(
-            np.sort(profile.flat_indices()), np.sort(truth.flat_indices())
-        )
-        assert relative_error(profile, truth) < 1e-6
-
-    def test_auto_sparsity_validates_bound(self, params, grid):
-        op = make_operator(params, grid, m=10, seed=43)
-        with pytest.raises(ValueError, match="max_sparsity"):
-            cosamp_auto(op, np.ones(10, dtype=complex), max_sparsity=0)
 
     def test_stall_halt_reported(self, params, grid):
         op = make_operator(params, grid, m=12, seed=37)

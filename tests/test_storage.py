@@ -40,21 +40,22 @@ class TestEchoContainer:
         assert complex(re, im) == echo.samples[0, 0]
 
     def test_wrong_magic_rejected(self, tmp_path, echo):
-        path = tmp_path / "cache.bin"
-        storage.write_complex_matrix(path, echo.samples, storage.CACHE_MAGIC)
-        with pytest.raises(ValueError, match="magic"):
-            storage.read_complex_matrix(path, storage.ECHO_MAGIC)
+        path = tmp_path / "foreign.bin"
+        storage.write_echo(path, echo)
+        path.write_bytes(b"SARXXXX1" + path.read_bytes()[8:])
+        with pytest.raises(storage.FormatError, match="magic"):
+            storage.read_complex_matrix(path)
 
     def test_truncated_payload_rejected(self, tmp_path, params, echo):
         path = tmp_path / "echo.bin"
         storage.write_echo(path, echo)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="payload"):
+        with pytest.raises(storage.FormatError, match="payload"):
             storage.read_complex_matrix(path)
 
     def test_dimension_mismatch_rejected(self, tmp_path, params, echo):
         path = tmp_path / "echo.bin"
-        storage.write_complex_matrix(path, echo.samples[:-1], storage.ECHO_MAGIC)
+        storage.write_complex_matrix(path, echo.samples[:-1])
         with pytest.raises(ValueError, match="expects"):
             storage.read_echo(path, params)
 
