@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .experiments import ExperimentSpec, random_scene
+from .experiments import MODES, ExperimentSpec, random_scene
 from .model import (
     ExtendedGrid,
     GridCoord,
@@ -44,6 +44,20 @@ def _at_least_one(raw: str) -> int:
     if value < 1:
         raise ValueError("must be at least 1")
     return value
+
+
+def _non_negative(raw: str) -> float:
+    value = float(raw)
+    if not value >= 0.0:
+        raise ValueError("must be non-negative")
+    return value
+
+
+def _mode(raw: str) -> str:
+    mode = raw.strip()
+    if mode not in MODES:
+        raise ValueError(f"expected one of {', '.join(MODES)}")
+    return mode
 
 
 def _boolean(raw: str) -> bool:
@@ -158,13 +172,13 @@ _KEYS = (
     _Key("recovery", "sparsity", "sparsity", _integer, repr, None),
     _Key("recovery", "measurements", "measurements", _at_least_one, repr, 100),
     _Key("recovery", "selection_seed", "selection_seed", _integer, repr, 0),
-    _Key("recovery", "residual_threshold", "residual_threshold", float, repr, None),
-    _Key("recovery", "max_iterations", "max_iterations", _integer, repr, 50),
+    _Key("recovery", "residual_threshold", "residual_threshold", _non_negative, repr, None),
+    _Key("recovery", "max_iterations", "max_iterations", _at_least_one, repr, 50),
     _Key("recovery", "stall_tolerance", "stall_tolerance", float, repr, 1e-4),
     _Key("recovery", "cache_policy", "cache_policy", _cache_policy, str, "full-row-cache"),
     _Key("baseline", "velocity_hypotheses", "hypotheses", _hypotheses, _render_hypotheses,
          ((0.0, 0.0),)),
-    _Key("experiment", "mode", "experiment_mode", str.strip, str, None),
+    _Key("experiment", "mode", "experiment_mode", _mode, str, None),
     _Key("experiment", "target_counts", "target_counts", _list_of(int), _render_list, ()),
     _Key("experiment", "measurement_counts", "measurement_counts", _list_of(int),
          _render_list, ()),

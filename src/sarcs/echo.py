@@ -94,13 +94,25 @@ def unit_echo_samples(params: RadarParams, x, y, vx, vy, tau, eta) -> np.ndarray
     agree bit for bit.
     """
     r = instantaneous_range(x, y, vx, vy, eta, params.v)
-    u = np.asarray(tau - (2.0 / params.c) * r, dtype=np.float64)
+    return _samples_at_range(params, r, tau, _azimuth_gate(params, y, vy, eta))
+
+
+def _azimuth_gate(params: RadarParams, y, vy, eta):
+    """True where slow time eta lies inside the target's azimuth envelope."""
     eta_c = y / (params.v - vy)
-    # u's shape always contains the azimuth gate's shape, so the in-place
-    # mask and phase updates below broadcast safely.
+    return np.abs(eta - eta_c) <= 0.5 * params.aperture_time
+
+
+def _samples_at_range(params: RadarParams, r, tau, gate) -> np.ndarray:
+    """Samples at exact range r and fast time tau, zeroed outside the range
+    envelope and outside ``gate``. The sensing operator calls this with
+    separably built r and gate, so everything after r is one code path."""
+    u = np.asarray(tau - (2.0 / params.c) * r, dtype=np.float64)
+    # u's shape always contains the gate's shape, so the in-place mask and
+    # phase updates below broadcast safely.
     mask = u >= 0.0
     mask &= u < params.tp
-    mask &= np.abs(eta - eta_c) <= 0.5 * params.aperture_time
+    mask &= gate
     phase = (np.pi * params.kr) * u
     phase *= u
     phase -= (4.0 * np.pi * params.f0 / params.c) * r

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -46,6 +47,10 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Sweep description: which curves to trace and at what trial budget."""
@@ -73,6 +78,17 @@ class ExperimentSpec:
                 raise ValueError(f"{self.mode} needs target and measurement counts")
             if self.mode == "psr_vs_snr" and not self.snr_values_db:
                 raise ValueError("psr_vs_snr needs a list of SNR values")
+        if self.cache_policy == "full-row-cache" and self.measurement_counts:
+            # every worker may hold one M-by-N complex row cache at a time
+            need = max(self.measurement_counts) * self.grid.size * 16 * self.workers
+            have = _physical_memory_bytes()
+            if need > have:
+                raise ValueError(
+                    f"{self.workers} worker(s) with full-row-cache need up to "
+                    f"{need / 1e9:.1f} GB for row caches, above the "
+                    f"{have / 1e9:.1f} GB of physical memory; "
+                    "lower threads or use cache_policy = none"
+                )
 
 
 @dataclass(frozen=True)

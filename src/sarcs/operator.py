@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import unit_echo_samples
+from .echo import _azimuth_gate, _samples_at_range, unit_echo_samples
 from .model import (
     ExtendedGrid,
     RadarParams,
@@ -30,8 +30,9 @@ __all__ = [
     "sample_without_replacement",
 ]
 
-# Columns per evaluation block, sized so a block stays ~tens of MB.
-_BLOCK_ELEMENTS = 2_000_000
+# Matrix entries per evaluation tile, sized so a tile's float temporaries
+# (~0.5 MB each) stay in cache. A tile holds at least one (p, q) pair.
+_BLOCK_ELEMENTS = 65_536
 
 # Refuse caches beyond ~6.4 GB; fall back to cache_policy="none" instead.
 _MAX_CACHE_ELEMENTS = 400_000_000
@@ -141,6 +142,16 @@ class SensingOperator:
         # Column vectors so a (G,) batch of grid columns broadcasts to (M, G).
         self._tau = (params.tau0 + m_idx / params.fs)[:, None]
         self._eta = ((n_idx - params.na / 2) / params.fa)[:, None]
+        # The squared range separates: (x + vx*eta)^2 depends on (row, p, n1),
+        # (y + (vy - v)*eta)^2 and the azimuth gate on (row, q, n2). The tables
+        # repeat instantaneous_range's operations in its order, so a tile's r
+        # is bit-identical to the kernel's.
+        eta = self._eta[:, :, None]
+        xr = grid.x_axis() + grid.vx_axis()[:, None] * eta
+        yr = grid.y_axis() + (grid.vy_axis() - params.v)[:, None] * eta
+        self._xr2 = xr * xr  # (M, nvx, nx)
+        self._yr2 = yr * yr  # (M, nvy, ny)
+        self._gate = _azimuth_gate(params, grid.y_axis(), grid.vy_axis()[:, None], eta)
         self._cache: np.ndarray | None = None
         self._norms: np.ndarray | None = None
 
@@ -152,17 +163,22 @@ class SensingOperator:
     def n_cols(self) -> int:
         return self.grid.size
 
-    def _evaluate_block(self, flat: np.ndarray) -> np.ndarray:
-        x, y, vx, vy = physical_columns(self.grid, flat)
-        return unit_echo_samples(self.params, x, y, vx, vy, self._tau, self._eta)
-
     def _blocks(self):
-        """Consecutive column blocks as (start, stop, M-by-B block). Callers
-        ``del`` each block before the next is built, so only one is alive."""
-        step = max(1, _BLOCK_ELEMENTS // self.n_rows)
-        for start in range(0, self.n_cols, step):
-            stop = min(start + step, self.n_cols)
-            yield start, stop, self._evaluate_block(np.arange(start, stop))
+        """Consecutive column blocks as (start, stop, M-by-B block). A block
+        is a run of whole (p, q) velocity pairs, so its range r is a
+        broadcast sum of the separable tables. Callers ``del`` each block
+        before the next is built, so only one is alive."""
+        grid = self.grid
+        cells = grid.nx * grid.ny
+        pairs = grid.nvx * grid.nvy
+        step = max(1, _BLOCK_ELEMENTS // (self.n_rows * cells))
+        tau = self._tau[:, :, None, None]
+        for first in range(0, pairs, step):
+            pq = np.arange(first, min(first + step, pairs))
+            ps, qs = pq % grid.nvx, pq // grid.nvx
+            r = np.sqrt(self._xr2[:, ps, None, :] + self._yr2[:, qs, :, None])
+            tile = _samples_at_range(self.params, r, tau, self._gate[:, qs, :, None])
+            yield first * cells, (pq[-1] + 1) * cells, tile.reshape(self.n_rows, -1)
 
     def _ensure_cache(self) -> np.ndarray | None:
         if self.cache_policy != "full-row-cache":
@@ -181,7 +197,8 @@ class SensingOperator:
         cache = self._ensure_cache()
         if cache is not None:
             return cache[:, flat]
-        return self._evaluate_block(flat)
+        x, y, vx, vy = physical_columns(self.grid, flat)
+        return unit_echo_samples(self.params, x, y, vx, vy, self._tau, self._eta)
 
     def forward(self, profile) -> np.ndarray:
         """Apply the restricted dictionary: y[i] = sum_g a[g] * atom_g[i].

@@ -3,8 +3,9 @@
 The binary container is little-endian throughout: a 16-byte header
 (8-byte magic, uint32 row count, uint32 column count) followed by the
 row-major samples, each stored as a float64 real/imaginary pair. Magic
-``SARECHO1`` marks a raw nr-by-na echo. A file that breaks this layout,
-or a profile CSV without its grid columns, raises :class:`FormatError`.
+``SARECHO1`` marks a raw nr-by-na echo. A file that breaks this layout or
+holds a NaN or infinite sample, or a profile CSV without its grid columns,
+raises :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def read_complex_matrix(path) -> np.ndarray:
     if len(payload) != expected:
         raise FormatError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
     data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: payload holds non-finite samples")
     return data.reshape(rows, cols)
 
 

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from sarcs import experiments
 from sarcs.cli import main
 from sarcs.storage import read_profile_csv
 from sarcs.config import load_config
@@ -238,6 +239,15 @@ threads = 1
         cfg_path = write_config(tmp_path, SMALL_BASE, "nope")
         assert main(["sweep", "--config", str(cfg_path)]) == 1
 
+    def test_pool_beyond_physical_memory_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # two workers with 16-row caches of the 64-column grid need 32 KiB
+        monkeypatch.setattr(experiments, "_physical_memory_bytes", lambda: 32 * 1024 - 1)
+        sweep = self.SWEEP.replace("threads = 1", "threads = 2")
+        cfg_path = write_config(tmp_path, sweep, "big")
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "big" / "psr.csv").exists()
+
 
 class TestErrorPaths:
     def test_missing_config_is_io_error(self, tmp_path):
@@ -264,6 +274,32 @@ class TestErrorPaths:
         code = main(["image-cs", "--config", str(cfg_path), "--echo", str(echo)])
         assert code == 2
         assert "echo.bin" in capsys.readouterr().err
+
+    def test_non_finite_echo_is_format_error(self, tmp_path, simulated, capsys):
+        cfg_path, sim = simulated
+        echo = sim / "echo.bin"
+        raw = bytearray(echo.read_bytes())
+        raw[16 + 16 * 5 : 16 + 16 * 5 + 8] = struct.pack("<d", float("nan"))
+        echo.write_bytes(bytes(raw))
+        for command in ("image-cs", "image-mf"):
+            code = main([command, "--config", str(cfg_path), "--echo", str(echo)])
+            assert code == 2
+            assert "echo.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "image-cs"])
+    @pytest.mark.parametrize("setting", ["max_iterations = 0", "residual_threshold = -1"])
+    def test_bad_recovery_setting_is_config_error(
+        self, tmp_path, simulated, capsys, command, setting
+    ):
+        _, sim = simulated
+        text = SMALL_SCENE.replace("selection_seed = 3", f"selection_seed = 3\n{setting}")
+        text += TestSweep.SWEEP[len(SMALL_BASE):]
+        cfg_path = write_config(tmp_path, text, "bad", name="bad.ini")
+        argv = [command, "--config", str(cfg_path)]
+        if command == "image-cs":
+            argv += ["--echo", str(sim / "echo.bin")]
+        assert main(argv) == 1
+        assert f"[recovery] {setting.split()[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content",

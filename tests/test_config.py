@@ -120,6 +120,10 @@ class TestValidation:
             ("experiment", "measurement_counts", "8;16"),
             ("experiment", "snr_values_db", "5,loud"),
             ("baseline", "velocity_hypotheses", "0,0,0"),
+            ("recovery", "max_iterations", "0"),
+            ("recovery", "residual_threshold", "-1"),
+            ("recovery", "residual_threshold", "nan"),
+            ("experiment", "mode", "psr_vs_q"),
         ],
     )
     def test_unparsable_value_names_key(self, tmp_path, section, key, value):

@@ -53,6 +53,15 @@ class TestEchoContainer:
         with pytest.raises(storage.FormatError, match="payload"):
             storage.read_complex_matrix(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sample_rejected(self, tmp_path, echo, value):
+        path = tmp_path / "echo.bin"
+        samples = echo.samples.copy()
+        samples[3, 2] = complex(0.0, value)
+        storage.write_complex_matrix(path, samples)
+        with pytest.raises(storage.FormatError, match="echo.bin.*non-finite"):
+            storage.read_complex_matrix(path)
+
     def test_dimension_mismatch_rejected(self, tmp_path, params, echo):
         path = tmp_path / "echo.bin"
         storage.write_complex_matrix(path, echo.samples[:-1])
