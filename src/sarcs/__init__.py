@@ -4,7 +4,6 @@ from .baseline import (
     IntensityImage,
     matched_filter_image,
     profile_to_image,
-    range_compress,
     sidelobe_metrics,
 )
 from .echo import (
@@ -66,7 +65,6 @@ __all__ = [
     "profile_to_image",
     "psr_sweep",
     "random_scene",
-    "range_compress",
     "relative_error",
     "run_trial",
     "scene_echo",

@@ -1,33 +1,33 @@
 """Matched-filter reference imager.
 
-Classical processing chain used as the comparison point for the sparse
-recovery: pulse compression of each azimuth column against the conjugate
-chirp replica, and a velocity-hypothesis correlation imager that projects
-the full echo onto the unit-reflectivity atom of every spatial cell at
-one hypothesized velocity. Resolution and side-lobe floor are therefore
-bandwidth/aperture limited, which is exactly what the comparison is
-meant to show.
+Classical comparison point for the sparse recovery: a velocity-hypothesis
+correlation imager that projects the full echo onto the unit-reflectivity
+atom of every spatial cell at one hypothesized velocity. Resolution and
+side-lobe floor are therefore bandwidth/aperture limited, which is exactly
+what the comparison is meant to show.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .echo import EchoMatrix, unit_echo_samples
-from .model import ExtendedGrid, GridCoord, RadarParams
+from .echo import EchoMatrix, _azimuth_gate, instantaneous_range
+from .model import ExtendedGrid, GridCoord
 from .recovery import SparseProfile
 
 __all__ = [
     "IntensityImage",
-    "chirp_replica",
-    "range_compress",
     "matched_filter_image",
     "profile_to_image",
     "sidelobe_metrics",
 ]
+
+# Entries per table of a matched-filter pulse tile, shaped (pulses,
+# ~sqrt(nr), nx * ny): tiles take as many pulses as fit, at least one.
+_TILE_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -50,47 +50,40 @@ class IntensityImage:
             raise ValueError("image pixels must be finite and non-negative")
 
 
-def chirp_replica(params: RadarParams) -> np.ndarray:
-    """Transmitted chirp sampled at fs: exp(j*pi*Kr*t^2), t in [0, tp)."""
-    length = round(params.tp * params.fs)
-    t = np.arange(length) / params.fs
-    return np.exp(1j * np.pi * params.kr * t * t)
-
-
-def range_compress(echo: EchoMatrix, method: str = "fft") -> EchoMatrix:
-    """Correlate every azimuth column with the conjugate chirp replica.
-
-    Output sample m holds sum_l echo[m + l] * conj(replica[l]), so a
-    scatterer whose two-way delay falls on sample m0 compresses to a
-    peak of magnitude tp*fs*|reflectivity| at row m0. The fft path and
-    the direct path produce the same values; direct is quadratic and
-    meant for small cross-checks.
-    """
-    replica = chirp_replica(echo.params)
-    nr = echo.params.nr
-    if method == "direct":
-        padded = np.vstack(
-            [echo.samples, np.zeros((len(replica) - 1, echo.params.na), dtype=np.complex128)]
-        )
-        out = np.empty_like(echo.samples)
-        for m in range(nr):
-            out[m] = replica.conj() @ padded[m : m + len(replica)]
-        return EchoMatrix(out, echo.params)
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
-    nfft = scipy.fft.next_fast_len(nr + len(replica) - 1)
-    spectrum = scipy.fft.fft(echo.samples, n=nfft, axis=0)
-    spectrum *= np.conj(scipy.fft.fft(replica, n=nfft))[:, None]
-    compressed = scipy.fft.ifft(spectrum, axis=0)[:nr]
-    return EchoMatrix(np.ascontiguousarray(compressed), echo.params)
-
-
 def _hypothesis_on_grid(grid: ExtendedGrid, velocity_hypothesis) -> tuple[float, float]:
     vx, vy = velocity_hypothesis
     for value, axis, name in ((vx, grid.vx_axis(), "vx"), (vy, grid.vy_axis(), "vy")):
         if not np.any(np.isclose(axis, value, rtol=0.0, atol=1e-9)):
             raise ValueError(f"velocity hypothesis {name}={value} is not on the grid")
     return float(vx), float(vy)
+
+
+def _window(tau: np.ndarray, d: np.ndarray, tp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample bounds [lo, hi) of the range envelope ``0 <= tau - d < tp``.
+
+    The bounds reproduce the sample kernel's mask exactly: fl(tau - d) >= 0
+    holds iff tau >= d, and the upper edge is settled on fl(tau - d) < tp
+    itself, since d + tp rounds.
+    """
+    lo = np.searchsorted(tau, d)
+    hi = np.searchsorted(tau, d + tp)
+    last = tau.size - 1
+    while True:
+        down = (hi > 0) & (tau[np.maximum(hi - 1, 0)] - d >= tp)
+        up = (hi <= last) & (tau[np.minimum(hi, last)] - d < tp)
+        if not (down.any() or up.any()):
+            return lo, hi
+        hi += up.astype(hi.dtype) - down
+
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """z**0 .. z**(count-1) stacked on a new axis 1, by repeated products
+    (relative error about count * 1e-16, far below the filter's tolerance)."""
+    out = np.empty(z.shape[:1] + (count,) + z.shape[1:], dtype=np.complex128)
+    out[:, 0] = 1.0
+    for k in range(1, count):
+        np.multiply(out[:, k - 1], z, out=out[:, k])
+    return out
 
 
 def matched_filter_image(
@@ -100,26 +93,87 @@ def matched_filter_image(
 
     pixel[n1, n2] = |<echo, atom(n1, n2, hypothesis)>| / ||atom||, using
     the full sample grid (no row selection). The hypothesis must lie on
-    the velocity grid. Runtime is proportional to nr * na * nx * ny.
+    the velocity grid.
+
+    The correlation is exact up to rounding without forming any atom.
+    For a pulse and a pixel with two-way delay d, let s = tau - tc and
+    e = d - tc about the window centre tc = tau[mc]. The conjugate
+    atom's chirp then factors as exp(-j*pi*Kr*(s - e)^2) =
+    exp(-j*pi*Kr*s^2) * z^(m - mc) * exp(-j*pi*Kr*e^2) with
+    z = exp(j*2*pi*Kr*e/fs). The first factor is folded into the echo
+    once; the last and the carrier are one phase per (pulse, pixel).
+    The linear phase over the atom's window of samples m is split as
+    z^(B*a) * z^b with B about sqrt(nr): whole blocks of the window are
+    one batched matrix product of the echo, reshaped (pulses, A, B), with
+    per-pulse (B, pixels) power tables, and the at most two partial
+    blocks at the window edges are summed directly. The window bounds,
+    the azimuth gate and the atom norm (the count of unmasked samples)
+    are those of ``echo.unit_echo_samples``; results agree with the
+    per-sample correlation to about 1e-10 of the image peak.
     """
     vx, vy = _hypothesis_on_grid(grid, velocity_hypothesis)
     params = echo.params
+    nr, na, npix = params.nr, params.na, grid.nx * grid.ny
+    tau = params.fast_times()
+    mc = nr // 2
+    block = math.isqrt(nr - 1) + 1
+    nblocks = -(-nr // block)
+    # Each pulse's row is padded by one block, so an edge segment read
+    # from any start up to nr stays inside the row.
+    row = (nblocks + 1) * block
+    offsets = (np.arange(nr) - mc).astype(np.float64)
+    folded = np.zeros((na, row), dtype=np.complex128)
+    np.multiply(
+        echo.samples.T,
+        np.exp((-1j * np.pi * params.kr / params.fs**2) * offsets * offsets),
+        out=folded[:, :nr],
+    )
+    blocks = folded[:, : nblocks * block].reshape(na, nblocks, block)
+    flat = folded.ravel()
+    b = np.arange(block)[:, None]
+    a = np.arange(nblocks)[:, None]
     xs = grid.x_axis()[:, None]
     ys = grid.y_axis()[None, :]
-    taus = params.fast_times()[:, None, None]
     etas = params.slow_times()
-    acc = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
-    norms_sq = np.zeros((grid.nx, grid.ny))
-    for n in range(params.na):
-        atoms = unit_echo_samples(params, xs, ys, vx, vy, taus, etas[n])
-        acc += np.conj(np.tensordot(np.conj(echo.samples[:, n]), atoms, axes=(0, 0)))
-        norms_sq += np.einsum("mij,mij->ij", atoms.real, atoms.real)
-        norms_sq += np.einsum("mij,mij->ij", atoms.imag, atoms.imag)
+    acc = np.zeros(npix, dtype=np.complex128)
+    count = np.zeros(npix)
+    pulses = max(1, _TILE_ELEMENTS // (block * npix))
+    for n0 in range(0, na, pulses):
+        eta = etas[n0 : n0 + pulses, None, None]
+        tile = eta.shape[0]
+        r = instantaneous_range(xs, ys, vx, vy, eta, params.v)
+        gate = np.broadcast_to(_azimuth_gate(params, ys, vy, eta), r.shape).reshape(tile, npix)
+        r = r.reshape(tile, npix)
+        d = (2.0 / params.c) * r
+        lo, hi = _window(tau, d, params.tp)
+        e = d - tau[mc]
+        theta = (2.0 * np.pi * params.kr / params.fs) * e
+        powers = _powers(np.exp(1j * theta), block + 1)
+        # Whole blocks a*B .. a*B+B-1 inside [lo, hi), weighted by z^(a*B).
+        first, stop = -(-lo // block), hi // block
+        weights = _powers(powers[:, block], nblocks)
+        weights *= (a >= first[:, None]) & (a < stop[:, None])
+        powers = powers[:, :block]
+        total = np.einsum("tap,tap->tp", blocks[n0 : n0 + tile] @ powers, weights)
+        # Partial edge blocks [lo, head) and [tail, hi), each shorter than B.
+        head = np.minimum(hi, first * block)
+        tail = np.maximum(stop * block, head)
+        rows = (np.arange(n0, n0 + tile) * row)[:, None, None] + b
+        for start, end in ((lo, head), (tail, hi)):
+            segment = np.take(flat, rows + start[:, None])
+            segment *= b < (end - start)[:, None]
+            total += np.einsum("tbp,tbp->tp", segment, powers) * np.exp(1j * theta * start)
+        phase = (4.0 * np.pi * params.f0 / params.c) * r - (np.pi * params.kr) * e * e
+        phase -= theta * mc
+        total *= np.exp(1j * phase)
+        total *= gate
+        acc += total.sum(axis=0)
+        count += np.where(gate, hi - lo, 0).sum(axis=0)
     pixels = np.abs(acc)
-    seen = norms_sq > 0
-    pixels[seen] /= np.sqrt(norms_sq[seen])
+    seen = count > 0
+    pixels[seen] /= np.sqrt(count[seen])
     pixels[~seen] = 0.0
-    return IntensityImage(pixels, (vx, vy))
+    return IntensityImage(pixels.reshape(grid.nx, grid.ny), (vx, vy))
 
 
 def profile_to_image(profile: SparseProfile) -> IntensityImage:

@@ -59,6 +59,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[str]:
 
 def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> list[str]:
     echo = storage.read_echo(echo_path, cfg.params)
+    truth = None if truth_path is None else storage.read_profile_csv(truth_path, cfg.grid)
     sparsity = cfg.scene_sparsity()
     if sparsity is None:
         raise ConfigError("[recovery] sparsity: required when the scene does not fix it")
@@ -86,8 +87,7 @@ def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> l
         f"residual = {diag.final_residual_norm!r}",
         f"recovered = {out_dir / 'recovered.csv'} ({len(profile.entries)} entries)",
     ]
-    if truth_path is not None:
-        truth = storage.read_profile_csv(truth_path, cfg.grid)
+    if truth is not None:
         lines.append(f"relative_error = {relative_error(profile, truth)!r}")
     return lines
 

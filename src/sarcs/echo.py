@@ -89,9 +89,10 @@ def unit_echo_samples(params: RadarParams, x, y, vx, vy, tau, eta) -> np.ndarray
     """Baseband samples of a unit-reflectivity scatterer.
 
     All six array arguments broadcast together; the result has the
-    broadcast shape. This single kernel is shared by the echo simulator,
-    the dictionary atoms, and the matched-filter imager, so their values
-    agree bit for bit.
+    broadcast shape. This single kernel is shared by the echo simulator
+    and the dictionary atoms, so their values agree bit for bit; the
+    matched-filter imager uses its range history, envelope bounds and
+    azimuth gate.
     """
     r = instantaneous_range(x, y, vx, vy, eta, params.v)
     return _samples_at_range(params, r, tau, _azimuth_gate(params, y, vy, eta))

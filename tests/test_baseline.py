@@ -1,24 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from sarcs import baseline
 from sarcs.baseline import (
     IntensityImage,
-    chirp_replica,
     matched_filter_image,
     profile_to_image,
-    range_compress,
     sidelobe_metrics,
 )
-from sarcs.echo import EchoMatrix, instantaneous_range, point_echo, scene_echo
-from sarcs.model import GridCoord, Scene, Target, grid_to_physical
+from sarcs.echo import EchoMatrix, point_echo, unit_echo_samples
+from sarcs.model import GridCoord, Target, grid_to_physical
 from sarcs.recovery import SparseProfile
 
 from conftest import small_radar, small_search_grid
 
+HYPOTHESES = [(-5.0, -5.0), (0.0, -5.0), (-5.0, 0.0), (0.0, 0.0)]
+
 
 @pytest.fixture
 def long_params():
-    # window much longer than the pulse; compressed responses fit inside
+    # window much longer than the pulse, so atom windows end inside it
     return small_radar(nr=220)
 
 
@@ -27,96 +30,75 @@ def on_sample_target(params, delay_samples, y=0.0, vx=0.0, vy=0.0, sigma=1.0):
     return Target(x, y, vx, vy, sigma)
 
 
-class TestChirpReplica:
-    def test_length_and_magnitude(self, params):
-        replica = chirp_replica(params)
-        assert replica.size == round(params.tp * params.fs) == 100
-        assert np.allclose(np.abs(replica), 1.0)
-        assert replica[0] == 1.0 + 0.0j
+def per_sample_image(echo, grid, velocity_hypothesis):
+    """Reference correlator: builds every atom sample from the shared kernel,
+    one pulse at a time, and normalizes by the atom sample energy."""
+    vx, vy = velocity_hypothesis
+    params = echo.params
+    xs = grid.x_axis()[:, None]
+    ys = grid.y_axis()[None, :]
+    taus = params.fast_times()[:, None, None]
+    acc = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
+    norms_sq = np.zeros((grid.nx, grid.ny))
+    for n, eta in enumerate(params.slow_times()):
+        atoms = unit_echo_samples(params, xs, ys, vx, vy, taus, eta)
+        acc += np.conj(np.tensordot(np.conj(echo.samples[:, n]), atoms, axes=(0, 0)))
+        norms_sq += np.einsum("mij,mij->ij", atoms.real, atoms.real)
+        norms_sq += np.einsum("mij,mij->ij", atoms.imag, atoms.imag)
+    pixels = np.abs(acc)
+    seen = norms_sq > 0
+    pixels[seen] /= np.sqrt(norms_sq[seen])
+    pixels[~seen] = 0.0
+    return pixels
 
 
-class TestRangeCompress:
-    def test_zero_echo_compresses_to_zero(self, long_params):
-        echo = EchoMatrix(
-            np.zeros((long_params.nr, long_params.na), dtype=complex), long_params
+def random_echo(params, seed):
+    rng = np.random.default_rng(seed)
+    shape = (params.nr, params.na)
+    return EchoMatrix(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), params)
+
+
+def assert_matches_per_sample(echo, grid, hypothesis):
+    image = matched_filter_image(echo, grid, hypothesis).pixels
+    reference = per_sample_image(echo, grid, hypothesis)
+    assert reference.max() > 0
+    assert np.max(np.abs(image - reference)) <= 1e-9 * reference.max()
+    assert np.argmax(image) == np.argmax(reference)
+
+
+class TestMatchedFilterAgainstPerSample:
+    @pytest.mark.parametrize("hypothesis", HYPOTHESES)
+    @pytest.mark.parametrize("radar", ["params", "long_params"])
+    def test_random_echo(self, request, grid, radar, hypothesis):
+        echo = random_echo(request.getfixturevalue(radar), seed=11)
+        assert_matches_per_sample(echo, grid, hypothesis)
+
+    def test_tiles_of_three_pulses(self, long_params, grid, monkeypatch):
+        # 32 pulses in ten tiles of three and one of two; blocks of 15 samples
+        monkeypatch.setattr(baseline, "_TILE_ELEMENTS", 3 * 15 * grid.nx * grid.ny)
+        assert_matches_per_sample(random_echo(long_params, seed=12), grid, (-5.0, 0.0))
+
+    @pytest.mark.parametrize("delay_samples", [-5, 30], ids=["cut-at-start", "cut-at-end"])
+    def test_target_cut_by_window(self, params, delay_samples):
+        target = on_sample_target(params, delay_samples, y=1.0)
+        # the target sits on cell (2, 1) of a grid moved onto its range
+        grid = dataclasses.replace(small_search_grid(), x0=target.x - 4.0)
+        echo = point_echo(target, params)
+        assert 0 < np.count_nonzero(echo.samples[:, params.na // 2]) < 100
+        assert_matches_per_sample(echo, grid, (0.0, 0.0))
+        image = matched_filter_image(echo, grid, (0.0, 0.0)).pixels
+        assert np.unravel_index(np.argmax(image), image.shape) == (2, 1)
+
+    def test_fig2_crop(self, three_target_echo, full_grid):
+        # 5x5 cells round the static target at cell (8, 5)
+        crop = dataclasses.replace(
+            full_grid,
+            x0=full_grid.x0 + 6 * full_grid.dx,
+            y0=full_grid.y0 + 3 * full_grid.dy,
+            nx=5,
+            ny=5,
         )
-        assert not range_compress(echo).samples.any()
-
-    def test_peak_magnitude_is_coherent_gain(self, long_params):
-        sigma = 0.8 - 0.6j
-        target = on_sample_target(long_params, delay_samples=100, sigma=sigma)
-        compressed = range_compress(point_echo(target, long_params))
-        center = long_params.na // 2  # eta = 0: delay exactly on sample 60
-        column = np.abs(compressed.samples[:, center])
-        gain = long_params.tp * long_params.fs
-        assert column.max() == pytest.approx(gain * abs(sigma), rel=0.01)
-        assert np.argmax(column) == 100
-
-    def test_per_column_peak_tracks_delay(self, long_params):
-        target = on_sample_target(long_params, delay_samples=60, vx=4.0)
-        compressed = range_compress(point_echo(target, long_params))
-        etas = long_params.slow_times()
-        for n in range(0, long_params.na, 5):
-            r = instantaneous_range(target.x, target.y, target.vx, target.vy, etas[n], long_params.v)
-            expected = (2.0 * r / long_params.c - long_params.tau0) * long_params.fs
-            peak = np.argmax(np.abs(compressed.samples[:, n]))
-            assert abs(peak - expected) <= 1.0
-
-    def test_fft_matches_direct(self, long_params):
-        rng = np.random.default_rng(3)
-        samples = rng.standard_normal((long_params.nr, long_params.na)) + 1j * rng.standard_normal(
-            (long_params.nr, long_params.na)
-        )
-        echo = EchoMatrix(samples, long_params)
-        fast = range_compress(echo, method="fft").samples
-        slow = range_compress(echo, method="direct").samples
-        assert np.linalg.norm(fast - slow) <= 1e-9 * np.linalg.norm(slow)
-
-    def test_unknown_method_rejected(self, long_params):
-        echo = EchoMatrix(
-            np.zeros((long_params.nr, long_params.na), dtype=complex), long_params
-        )
-        with pytest.raises(ValueError, match="unknown method"):
-            range_compress(echo, method="welch")
-
-    def test_energy_factor_matches_replica_autocorrelation(self, long_params):
-        # sample-aligned pulses: place the replica at integer offsets so the
-        # compressed energy per column is exactly the autocorrelation energy
-        replica = chirp_replica(long_params)
-        rng = np.random.default_rng(7)
-        samples = np.zeros((long_params.nr, long_params.na), dtype=complex)
-        for n in range(long_params.na):
-            offset = int(rng.integers(100, 121))
-            samples[offset : offset + replica.size, n] = replica * rng.standard_normal()
-        echo = EchoMatrix(samples, long_params)
-        compressed = range_compress(echo)
-        autocorr = np.correlate(replica, replica, mode="full")
-        factor = np.sum(np.abs(autocorr) ** 2) / replica.size
-        assert compressed.energy == pytest.approx(echo.energy * factor, rel=0.01)
-
-    def test_shift_covariant_per_column(self, long_params):
-        replica = chirp_replica(long_params)
-        samples = np.zeros((long_params.nr, long_params.na), dtype=complex)
-        samples[40 : 40 + replica.size, 0] = replica
-        samples[47 : 47 + replica.size, 1] = replica
-        compressed = range_compress(EchoMatrix(samples, long_params)).samples
-        shift = 7
-        assert np.allclose(
-            compressed[shift:, 1],
-            compressed[: long_params.nr - shift, 0],
-            rtol=1e-10,
-            atol=1e-8,
-        )
-
-    def test_linear(self, long_params):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((long_params.nr, long_params.na)) * (1 + 0j)
-        b = rng.standard_normal((long_params.nr, long_params.na)) * (1 + 0j)
-        ea, eb = EchoMatrix(a, long_params), EchoMatrix(b, long_params)
-        esum = EchoMatrix(a + 2j * b, long_params)
-        lhs = range_compress(esum).samples
-        rhs = range_compress(ea).samples + 2j * range_compress(eb).samples
-        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-8)
+        assert_matches_per_sample(three_target_echo, crop, (0.0, 0.0))
 
 
 class TestMatchedFilterImage:

@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sarcs
 from sarcs import experiments
 from sarcs.cli import main
 from sarcs.storage import read_profile_csv
@@ -321,9 +326,54 @@ class TestErrorPaths:
         assert code == 2
         assert "bad_truth.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"a,b\n1,2\n"], ids=["missing", "no-grid-columns"])
+    def test_bad_truth_fails_before_recovery(self, tmp_path, simulated, content):
+        cfg_path, sim = simulated
+        truth = tmp_path / "truth_in.csv"
+        if content is not None:
+            truth.write_bytes(content)
+        out = tmp_path / "cs"
+        code = main([
+            "image-cs", "--config", str(cfg_path), "--echo", str(sim / "echo.bin"),
+            "--truth", str(truth), "--output", str(out),
+        ])
+        assert code == 2
+        assert not (out / "recovered.csv").exists()
+        assert not (out / "diagnostics.csv").exists()
+
     def test_missing_echo_file_is_io_error(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_SCENE, "out")
         code = main([
             "image-cs", "--config", str(cfg_path), "--echo", str(tmp_path / "no.bin"),
         ])
         assert code == 2
+
+
+class TestBlasThreads:
+    SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
+
+    def run_commands(self, out: Path, blas_threads: str) -> None:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        package_root = str(Path(sarcs.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        sim = out / "sim"
+        inputs = ["--echo", str(sim / "echo.bin"), "--truth", str(sim / "truth.csv")]
+        for command, args in (
+            ("simulate", ["--output", str(sim)]),
+            ("image-cs", inputs + ["--output", str(out / "cs")]),
+            ("image-mf", inputs + ["--output", str(out / "mf")]),
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "sarcs.cli", command, "--config", str(self.SMOKE), *args],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        for threads in ("1", "2"):
+            self.run_commands(tmp_path / f"blas{threads}", threads)
+        one, two = tmp_path / "blas1", tmp_path / "blas2"
+        files = ["cs/recovered.csv", "cs/diagnostics.csv"]
+        files += [f"mf/{path.name}" for path in sorted((one / "mf").glob("mf_*.csv"))]
+        assert len(files) == 3
+        for name in files:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
