@@ -30,7 +30,6 @@ from .model import (
     flat_index,
     grid_to_physical,
     unflatten,
-    xband_stripmap_params,
 )
 from .operator import MeasurementSelection, SensingOperator, select_measurements
 from .recovery import (
@@ -71,7 +70,6 @@ __all__ = [
     "select_measurements",
     "sidelobe_metrics",
     "unflatten",
-    "xband_stripmap_params",
 ]
 
 __version__ = "0.1.0"

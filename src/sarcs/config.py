@@ -26,6 +26,7 @@ from .model import (
     Target,
     check_simulation_geometry,
 )
+from .operator import CACHE_POLICIES
 from .recovery import SparseProfile
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -71,12 +72,16 @@ def _boolean(raw: str) -> bool:
 
 def _snr(raw: str) -> float | None:
     value = float(raw)
-    return None if value == math.inf else value  # inf means noiseless
+    if value == math.inf:
+        return None  # noiseless
+    if not math.isfinite(value):
+        raise ValueError("must be finite, or inf for no noise")
+    return value
 
 
 def _cache_policy(raw: str) -> str:
     policy = raw.strip()
-    if policy not in ("none", "full-row-cache"):
+    if policy not in CACHE_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     return policy
 
@@ -87,6 +92,13 @@ def _list_of(caster) -> Callable[[str], tuple]:
         return tuple(caster(piece) for piece in items if piece)
 
     return parse
+
+
+def _counts(raw: str) -> tuple[int, ...]:
+    counts = _list_of(int)(raw)
+    if any(count < 1 for count in counts):
+        raise ValueError("every count must be at least 1")
+    return counts
 
 
 def _entries(raw: str) -> list[list[float]]:
@@ -169,19 +181,18 @@ _KEYS = (
     _Key("scene", "scene_seed", "scene_seed", _integer, repr, 0),
     _Key("scene", "snr_db", "snr_db", _snr, repr, None),
     _Key("scene", "noise_seed", "noise_seed", _integer, repr, 0),
-    _Key("recovery", "sparsity", "sparsity", _integer, repr, None),
+    _Key("recovery", "sparsity", "sparsity", _at_least_one, repr, None),
     _Key("recovery", "measurements", "measurements", _at_least_one, repr, 100),
     _Key("recovery", "selection_seed", "selection_seed", _integer, repr, 0),
     _Key("recovery", "residual_threshold", "residual_threshold", _non_negative, repr, None),
     _Key("recovery", "max_iterations", "max_iterations", _at_least_one, repr, 50),
-    _Key("recovery", "stall_tolerance", "stall_tolerance", float, repr, 1e-4),
+    _Key("recovery", "stall_tolerance", "stall_tolerance", _non_negative, repr, 1e-4),
     _Key("recovery", "cache_policy", "cache_policy", _cache_policy, str, "full-row-cache"),
     _Key("baseline", "velocity_hypotheses", "hypotheses", _hypotheses, _render_hypotheses,
          ((0.0, 0.0),)),
     _Key("experiment", "mode", "experiment_mode", _mode, str, None),
-    _Key("experiment", "target_counts", "target_counts", _list_of(int), _render_list, ()),
-    _Key("experiment", "measurement_counts", "measurement_counts", _list_of(int),
-         _render_list, ()),
+    _Key("experiment", "target_counts", "target_counts", _counts, _render_list, ()),
+    _Key("experiment", "measurement_counts", "measurement_counts", _counts, _render_list, ()),
     _Key("experiment", "snr_values_db", "snr_values_db", _list_of(float), _render_list, ()),
     _Key("experiment", "trials_per_point", "trials_per_point", _integer, repr, 1),
     _Key("experiment", "base_seed", "base_seed", _integer, repr, 0),
@@ -253,6 +264,8 @@ class RunConfig:
                 base_seed=self.base_seed,
                 cache_policy=self.cache_policy,
                 workers=self.threads,
+                max_iterations=self.max_iterations,
+                stall_tolerance=self.stall_tolerance,
             )
         except ValueError as exc:
             raise ConfigError(f"[experiment]: {exc}") from exc
@@ -352,6 +365,15 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[radar]/[grid]: {exc}") from exc
 
+    samples = params.nr * params.na
+    for key, counts in (
+        ("[recovery] measurements", (run["measurements"],)),
+        ("[experiment] measurement_counts", run["measurement_counts"]),
+    ):
+        if max(counts, default=0) > samples:
+            raise ConfigError(
+                f"{key}: {max(counts)} exceeds the nr * na = {samples} echo samples"
+            )
     if run["targets"] and run["random_k"] is not None:
         raise ConfigError(
             "[scene] random_targets: give either explicit targets or a random count"

@@ -36,12 +36,8 @@ __all__ = [
     "point_echo",
     "scene_echo",
     "add_noise",
-    "support_mean_power",
     "noise_variance",
 ]
-
-NO_NOISE = math.inf
-
 
 class EmptyEchoWarning(UserWarning):
     """A target's echo missed the sample window entirely."""
@@ -72,10 +68,6 @@ class EchoMatrix:
     def vec(self) -> np.ndarray:
         """Column-stacked vector; entry (m, n) lands at m + nr * n."""
         return self.samples.ravel(order="F")
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
 
 
 def instantaneous_range(x, y, vx, vy, eta, v):
@@ -152,15 +144,6 @@ def scene_echo(scene: Scene, params: RadarParams) -> EchoMatrix:
     return EchoMatrix(total, params)
 
 
-def support_mean_power(echo: EchoMatrix) -> float:
-    """Mean |sample|^2 over the nonzero support of the echo."""
-    mags = np.abs(echo.samples)
-    support = mags > 0
-    if not support.any():
-        raise ValueError("echo is identically zero; SNR is undefined")
-    return float(np.mean(mags[support] ** 2))
-
-
 def noise_variance(echo: EchoMatrix, snr_db: float) -> float:
     """Per-sample complex noise variance realizing the requested SNR.
 
@@ -168,7 +151,11 @@ def noise_variance(echo: EchoMatrix, snr_db: float) -> float:
     radar convention for sparse scenes, where most of the raw matrix is
     empty.
     """
-    return support_mean_power(echo) * 10.0 ** (-snr_db / 10.0)
+    mags = np.abs(echo.samples)
+    support = mags > 0
+    if not support.any():
+        raise ValueError("echo is identically zero; SNR is undefined")
+    return float(np.mean(mags[support] ** 2)) * 10.0 ** (-snr_db / 10.0)
 
 
 def add_noise(echo: EchoMatrix, snr_db: float, seed: int) -> EchoMatrix:
@@ -177,7 +164,7 @@ def add_noise(echo: EchoMatrix, snr_db: float, seed: int) -> EchoMatrix:
     Deterministic per seed (counter-based Philox generator). Passing
     ``snr_db = math.inf`` returns the input unchanged.
     """
-    if snr_db == NO_NOISE:
+    if snr_db == math.inf:
         return echo
     var = noise_variance(echo, snr_db)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -20,7 +20,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .echo import add_noise, noise_variance, scene_echo
-from .model import ExtendedGrid, RadarParams, Scene, Target, physical_columns, unflatten
+from .model import ExtendedGrid, RadarParams, Scene, Target, grid_to_physical
 from .operator import SensingOperator, sample_without_replacement, select_measurements
 from .recovery import RecoveryConfig, SparseProfile, cosamp, relative_error
 
@@ -65,6 +65,8 @@ class ExperimentSpec:
     base_seed: int = 0
     cache_policy: str = "full-row-cache"
     workers: int = 1
+    max_iterations: int = 50
+    stall_tolerance: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -119,13 +121,9 @@ def random_scene(k: int, grid: ExtendedGrid, seed: int) -> tuple[Scene, SparsePr
     if k == 0:
         return Scene(()), SparseProfile((), grid)
     flat = sample_without_replacement(k, grid.size, seed)
-    xs, ys, vxs, vys = physical_columns(grid, flat)
-    targets = tuple(
-        Target(float(x), float(y), float(vx), float(vy), 1.0 + 0.0j)
-        for x, y, vx, vy in zip(xs, ys, vxs, vys)
-    )
-    entries = tuple((unflatten(int(g), grid), 1.0 + 0.0j) for g in flat)
-    return Scene(targets), SparseProfile(entries, grid)
+    truth = SparseProfile.from_flat(grid, flat, np.ones(k))
+    targets = tuple(Target(*grid_to_physical(coord, grid)) for coord, _ in truth.entries)
+    return Scene(targets), truth
 
 
 def run_trial(
@@ -177,43 +175,22 @@ def run_trial(
     return TrialResult(rel < SUCCESS_THRESHOLD, rel, diag.iterations, diag.halt_reason)
 
 
-@dataclass(frozen=True)
-class _TrialTask:
-    params: RadarParams
-    grid: ExtendedGrid
-    k: int
-    m: int
-    snr_db: float | None
-    scene_seed: int
-    selection_seed: int
-    noise_seed: int
-    cache_policy: str
-
-
-def _run_task(task: _TrialTask) -> TrialResult:
-    scene, truth = random_scene(task.k, task.grid, task.scene_seed)
+def _run_task(task: tuple) -> TrialResult:
+    spec, k, m, snr, trial = task
+    label = (spec.base_seed, spec.mode, k, m, snr, trial)
+    scene, truth = random_scene(k, spec.grid, derive_seed("scene", *label))
     return run_trial(
         scene,
         truth,
-        task.params,
-        task.m,
-        task.snr_db,
-        task.selection_seed,
-        task.noise_seed,
-        task.cache_policy,
+        spec.params,
+        m,
+        snr,
+        derive_seed("selection", *label),
+        derive_seed("noise", *label),
+        spec.cache_policy,
+        spec.max_iterations,
+        spec.stall_tolerance,
     )
-
-
-def _sweep_points(spec: ExperimentSpec) -> list[tuple[int, int, float | None]]:
-    points = []
-    for k in spec.target_counts:
-        for m in spec.measurement_counts:
-            if spec.mode == "psr_vs_m":
-                points.append((k, m, None))
-            else:
-                for snr in spec.snr_values_db:
-                    points.append((k, m, float(snr)))
-    return points
 
 
 def psr_sweep(spec: ExperimentSpec) -> list[PsrPoint]:
@@ -222,24 +199,15 @@ def psr_sweep(spec: ExperimentSpec) -> list[PsrPoint]:
         raise ValueError(
             f"mode {spec.mode!r} is not a sweep; use the simulate/image commands"
         )
-    points = _sweep_points(spec)
-    tasks = []
-    for k, m, snr in points:
-        for trial in range(spec.trials_per_point):
-            label = (spec.base_seed, spec.mode, k, m, snr, trial)
-            tasks.append(
-                _TrialTask(
-                    params=spec.params,
-                    grid=spec.grid,
-                    k=k,
-                    m=m,
-                    snr_db=snr,
-                    scene_seed=derive_seed("scene", *label),
-                    selection_seed=derive_seed("selection", *label),
-                    noise_seed=derive_seed("noise", *label),
-                    cache_policy=spec.cache_policy,
-                )
-            )
+    snrs = [float(snr) for snr in spec.snr_values_db] if spec.mode == "psr_vs_snr" else [None]
+    points = [
+        (k, m, snr) for k in spec.target_counts for m in spec.measurement_counts for snr in snrs
+    ]
+    tasks = [
+        (spec, k, m, snr, trial)
+        for k, m, snr in points
+        for trial in range(spec.trials_per_point)
+    ]
     if spec.workers > 1 and len(tasks) > 1:
         with Pool(processes=spec.workers) as pool:
             results = pool.map(_run_task, tasks, chunksize=1)

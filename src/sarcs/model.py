@@ -23,9 +23,7 @@ __all__ = [
     "flat_index",
     "unflatten",
     "grid_to_physical",
-    "physical_columns",
     "check_simulation_geometry",
-    "xband_stripmap_params",
 ]
 
 
@@ -114,25 +112,6 @@ class RadarParams:
     def slow_times(self) -> np.ndarray:
         """Centered slow-time instants eta_n = (n - na/2) / fa, n = 0..na-1."""
         return (np.arange(self.na) - self.na / 2) / self.fa
-
-
-def xband_stripmap_params(
-    tau0: float, nr: int = 1213, na: int = 595
-) -> RadarParams:
-    """Stock airborne X-band stripmap profile used by the default configs."""
-    return RadarParams(
-        v=250.0,
-        f0=9.375e9,
-        wavelength=0.032,
-        kr=100e6 / 10e-6,
-        tp=10e-6,
-        bandwidth=100e6,
-        fs=120e6,
-        fa=300.0,
-        nr=nr,
-        na=na,
-        tau0=tau0,
-    )
 
 
 @dataclass(frozen=True)
@@ -261,27 +240,6 @@ def grid_to_physical(coord: GridCoord, grid: ExtendedGrid) -> tuple[float, float
         grid.y0 + grid.dy * coord.n2,
         grid.vx0 + grid.dvx * coord.p,
         grid.vy0 + grid.dvy * coord.q,
-    )
-
-
-def physical_columns(
-    grid: ExtendedGrid, flat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized grid_to_physical over an array of flat indices."""
-    flat = np.asarray(flat, dtype=np.int64)
-    if flat.size and (flat.min() < 0 or flat.max() >= grid.size):
-        raise ValueError("flat index outside the grid")
-    n1 = flat % grid.nx
-    rest = flat // grid.nx
-    n2 = rest % grid.ny
-    rest = rest // grid.ny
-    p = rest % grid.nvx
-    q = rest // grid.nvx
-    return (
-        grid.x0 + grid.dx * n1,
-        grid.y0 + grid.dy * n2,
-        grid.vx0 + grid.dvx * p,
-        grid.vy0 + grid.dvy * q,
     )
 
 

@@ -14,21 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import _azimuth_gate, _samples_at_range, unit_echo_samples
-from .model import (
-    ExtendedGrid,
-    RadarParams,
-    check_simulation_geometry,
-    physical_columns,
-)
-from .recovery import SparseProfile
+from .echo import _azimuth_gate, _samples_at_range
+from .model import ExtendedGrid, RadarParams, check_simulation_geometry
 
 __all__ = [
+    "CACHE_POLICIES",
     "MeasurementSelection",
     "SensingOperator",
     "select_measurements",
     "sample_without_replacement",
 ]
+
+CACHE_POLICIES = ("none", "full-row-cache")
 
 # Matrix entries per evaluation tile, sized so a tile's float temporaries
 # (~0.5 MB each) stay in cache. A tile holds at least one (p, q) pair.
@@ -36,12 +33,6 @@ _BLOCK_ELEMENTS = 65_536
 
 # Refuse caches beyond ~6.4 GB; fall back to cache_policy="none" instead.
 _MAX_CACHE_ELEMENTS = 400_000_000
-
-
-def _squared_column_norms(block: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", block.real, block.real) + np.einsum(
-        "ij,ij->j", block.imag, block.imag
-    )
 
 
 def _rand_below(rng: np.random.Generator, n: int) -> int:
@@ -122,7 +113,7 @@ class SensingOperator:
         selection: MeasurementSelection,
         cache_policy: str = "none",
     ) -> None:
-        if cache_policy not in ("none", "full-row-cache"):
+        if cache_policy not in CACHE_POLICIES:
             raise ValueError(f"unknown cache policy {cache_policy!r}")
         check_simulation_geometry(params, grid)
         total = params.nr * params.na
@@ -141,12 +132,11 @@ class SensingOperator:
         n_idx = selection.indices // params.nr
         # Column vectors so a (G,) batch of grid columns broadcasts to (M, G).
         self._tau = (params.tau0 + m_idx / params.fs)[:, None]
-        self._eta = ((n_idx - params.na / 2) / params.fa)[:, None]
         # The squared range separates: (x + vx*eta)^2 depends on (row, p, n1),
         # (y + (vy - v)*eta)^2 and the azimuth gate on (row, q, n2). The tables
-        # repeat instantaneous_range's operations in its order, so a tile's r
-        # is bit-identical to the kernel's.
-        eta = self._eta[:, :, None]
+        # repeat instantaneous_range's operations in its order, so every atom
+        # sample is bit-identical to the kernel's.
+        eta = ((n_idx - params.na / 2) / params.fa)[:, None, None]
         xr = grid.x_axis() + grid.vx_axis()[:, None] * eta
         yr = grid.y_axis() + (grid.vy_axis() - params.v)[:, None] * eta
         self._xr2 = xr * xr  # (M, nvx, nx)
@@ -164,10 +154,13 @@ class SensingOperator:
         return self.grid.size
 
     def _blocks(self):
-        """Consecutive column blocks as (start, stop, M-by-B block). A block
-        is a run of whole (p, q) velocity pairs, so its range r is a
-        broadcast sum of the separable tables. Callers ``del`` each block
-        before the next is built, so only one is alive."""
+        """Consecutive column blocks as (start, stop, M-by-B block): the whole
+        row cache once it exists, else tiles of whole (p, q) velocity pairs,
+        whose range r is a broadcast sum of the separable tables. Callers
+        ``del`` each block before the next is built, so only one is alive."""
+        if self._cache is not None:
+            yield 0, self.n_cols, self._cache
+            return
         grid = self.grid
         cells = grid.nx * grid.ny
         pairs = grid.nvx * grid.nvy
@@ -180,50 +173,34 @@ class SensingOperator:
             tile = _samples_at_range(self.params, r, tau, self._gate[:, qs, :, None])
             yield first * cells, (pq[-1] + 1) * cells, tile.reshape(self.n_rows, -1)
 
-    def _ensure_cache(self) -> np.ndarray | None:
-        if self.cache_policy != "full-row-cache":
-            return None
-        if self._cache is None:
+    def _ensure_cache(self) -> None:
+        if self.cache_policy == "full-row-cache" and self._cache is None:
             cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex128)
             for start, stop, block in self._blocks():
                 cache[:, start:stop] = block
                 del block
             self._cache = cache
-        return self._cache
 
     def columns(self, flat: np.ndarray) -> np.ndarray:
         """Explicit M-by-K restricted columns for the given flat indices."""
         flat = np.asarray(flat, dtype=np.int64)
-        cache = self._ensure_cache()
-        if cache is not None:
-            return cache[:, flat]
-        x, y, vx, vy = physical_columns(self.grid, flat)
-        return unit_echo_samples(self.params, x, y, vx, vy, self._tau, self._eta)
+        self._ensure_cache()
+        if self._cache is not None:
+            return self._cache[:, flat]
+        grid = self.grid
+        q, p, n2, n1 = np.unravel_index(flat, (grid.nvy, grid.nvx, grid.ny, grid.nx))
+        r = np.sqrt(self._xr2[:, p, n1] + self._yr2[:, q, n2])
+        return _samples_at_range(self.params, r, self._tau, self._gate[:, q, n2])
 
     def forward(self, profile) -> np.ndarray:
-        """Apply the restricted dictionary: y[i] = sum_g a[g] * atom_g[i].
-
-        Accepts a :class:`SparseProfile` (evaluates only its columns) or a
-        dense length-N coefficient vector.
-        """
-        if isinstance(profile, SparseProfile):
-            if profile.grid != self.grid:
-                raise ValueError("profile grid does not match the operator grid")
-            flat = profile.flat_indices()
-            if flat.size == 0:
-                return np.zeros(self.n_rows, dtype=np.complex128)
-            return self.columns(flat) @ profile.coefficients()
-        dense = np.asarray(profile, dtype=np.complex128)
-        if dense.shape != (self.n_cols,):
-            raise ValueError(f"dense profile must have shape ({self.n_cols},)")
-        cache = self._ensure_cache()
-        if cache is not None:
-            return cache @ dense
-        out = np.zeros(self.n_rows, dtype=np.complex128)
-        for start, stop, block in self._blocks():
-            out += block @ dense[start:stop]
-            del block
-        return out
+        """Apply the restricted dictionary to a :class:`SparseProfile`:
+        y[i] = sum_g a[g] * atom_g[i] over the profile's columns only."""
+        if profile.grid != self.grid:
+            raise ValueError("profile grid does not match the operator grid")
+        flat = profile.flat_indices()
+        if flat.size == 0:
+            return np.zeros(self.n_rows, dtype=np.complex128)
+        return self.columns(flat) @ profile.coefficients()
 
     def adjoint(self, residual: np.ndarray) -> np.ndarray:
         """Conjugate-transpose product: out[g] = sum_i conj(atom_g[i]) r[i]."""
@@ -231,25 +208,24 @@ class SensingOperator:
         if residual.shape != (self.n_rows,):
             raise ValueError(f"residual must have shape ({self.n_rows},)")
         r_conj = residual.conj()
-        cache = self._ensure_cache()
-        if cache is not None:
-            return np.conj(r_conj @ cache)
+        self._ensure_cache()
         out = np.empty(self.n_cols, dtype=np.complex128)
         for start, stop, block in self._blocks():
-            out[start:stop] = np.conj(r_conj @ block)
+            # out= keeps one product temporary alive, not two
+            np.conj(r_conj @ block, out=out[start:stop])
             del block
         return out
 
     def column_norms(self) -> np.ndarray:
         """l2 norm of every restricted column; zero marks unseen atoms."""
         if self._norms is None:
-            cache = self._ensure_cache()
-            if cache is not None:
-                norms_sq = _squared_column_norms(cache)
-            else:
-                norms_sq = np.empty(self.n_cols)
-                for start, stop, block in self._blocks():
-                    norms_sq[start:stop] = _squared_column_norms(block)
-                    del block
-            self._norms = np.sqrt(norms_sq)
+            self._ensure_cache()
+            norms_sq = np.empty(self.n_cols)
+            for start, stop, block in self._blocks():
+                # out= keeps one N-vector temporary alive beside norms_sq
+                part = norms_sq[start:stop]
+                np.einsum("ij,ij->j", block.real, block.real, out=part)
+                part += np.einsum("ij,ij->j", block.imag, block.imag)
+                del block
+            self._norms = np.sqrt(norms_sq, out=norms_sq)
         return self._norms

@@ -125,12 +125,6 @@ def _lstsq_drop_dependent(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     return coef, np.asarray(piv[rank:], dtype=np.int64)
 
 
-def _largest(values: np.ndarray, count: int) -> np.ndarray:
-    # Stable sort on negated magnitude: ties resolve to the lowest index.
-    order = np.argsort(-np.abs(values), kind="stable")
-    return order[:count]
-
-
 def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     """Run compressive sampling matching pursuit against a sensing operator.
 
@@ -190,8 +184,10 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
         fit, dropped = _lstsq_drop_dependent(merged_cols, y)
         diag.dropped_columns.extend(int(merged[i]) for i in dropped)
 
-        keep = _largest(fit, k)
-        keep.sort()  # ascending flat order within the pruned support
+        # the k largest by stable sort on negated magnitude: ties resolve to
+        # the lowest index; then ascending flat order within the pruned support
+        keep = np.argsort(-np.abs(fit), kind="stable")[:k]
+        keep.sort()
         support = merged[keep]
         coef = fit[keep]
         residual = y - merged_cols[:, keep] @ coef

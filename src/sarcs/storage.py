@@ -24,8 +24,6 @@ __all__ = [
     "FormatError",
     "write_echo",
     "read_echo",
-    "write_complex_matrix",
-    "read_complex_matrix",
     "write_magnitude_csv",
     "write_profile_csv",
     "read_profile_csv",
@@ -43,16 +41,14 @@ class FormatError(ValueError):
     """An input file does not follow its documented format."""
 
 
-def write_complex_matrix(path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2:
-        raise ValueError("container holds 2-D complex matrices")
+def write_echo(path, echo: EchoMatrix) -> None:
+    samples = echo.samples
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(ECHO_MAGIC, matrix.shape[0], matrix.shape[1]))
-        fh.write(np.ascontiguousarray(matrix).astype("<c16").tobytes())
+        fh.write(_HEADER.pack(ECHO_MAGIC, samples.shape[0], samples.shape[1]))
+        fh.write(np.ascontiguousarray(samples).astype("<c16").tobytes())
 
 
-def read_complex_matrix(path) -> np.ndarray:
+def read_echo(path, params: RadarParams) -> EchoMatrix:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -67,20 +63,11 @@ def read_complex_matrix(path) -> np.ndarray:
     data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: payload holds non-finite samples")
-    return data.reshape(rows, cols)
-
-
-def write_echo(path, echo: EchoMatrix) -> None:
-    write_complex_matrix(path, echo.samples)
-
-
-def read_echo(path, params: RadarParams) -> EchoMatrix:
-    samples = read_complex_matrix(path)
-    if samples.shape != (params.nr, params.na):
+    if (rows, cols) != (params.nr, params.na):
         raise ValueError(
-            f"{path}: echo is {samples.shape}, config expects ({params.nr}, {params.na})"
+            f"{path}: echo is {(rows, cols)}, config expects ({params.nr}, {params.na})"
         )
-    return EchoMatrix(samples, params)
+    return EchoMatrix(data.reshape(rows, cols), params)
 
 
 def write_magnitude_csv(path, samples: np.ndarray) -> None:

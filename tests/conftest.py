@@ -1,17 +1,14 @@
+from pathlib import Path
+
 import pytest
 
+from sarcs.config import load_config
 from sarcs.echo import scene_echo
-from sarcs.model import (
-    ExtendedGrid,
-    GridCoord,
-    RadarParams,
-    Scene,
-    Target,
-    xband_stripmap_params,
-)
+from sarcs.model import ExtendedGrid, GridCoord, RadarParams, Scene, Target
 from sarcs.recovery import SparseProfile
 
 C = 3.0e8
+FIG2 = Path(__file__).resolve().parents[1] / "configs" / "fig2.ini"
 
 
 def small_radar(nr=104, na=32):
@@ -89,7 +86,10 @@ def full_grid():
 
 @pytest.fixture(scope="session")
 def full_params(full_grid):
-    return xband_stripmap_params(tau0=2.0 * full_grid.x0 / C)
+    """The stock X-band stripmap radar, as the shipped fig2 config states it."""
+    cfg = load_config(FIG2)
+    assert cfg.grid == full_grid
+    return cfg.params
 
 
 @pytest.fixture(scope="session")

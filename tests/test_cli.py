@@ -244,6 +244,20 @@ threads = 1
         cfg_path = write_config(tmp_path, SMALL_BASE, "nope")
         assert main(["sweep", "--config", str(cfg_path)]) == 1
 
+    def test_recovery_limits_reach_every_trial(self, tmp_path, monkeypatch):
+        seen = []
+        real = experiments.run_trial
+
+        def recording(*args):
+            seen.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "run_trial", recording)
+        text = self.SWEEP + "\n[recovery]\nmax_iterations = 1\nstall_tolerance = 0.5\n"
+        cfg_path = write_config(tmp_path, text, "sweep")
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert seen == [(1, 0.5)] * 4
+
     def test_pool_beyond_physical_memory_is_config_error(self, tmp_path, monkeypatch, capsys):
         # two workers with 16-row caches of the 64-column grid need 32 KiB
         monkeypatch.setattr(experiments, "_physical_memory_bytes", lambda: 32 * 1024 - 1)
@@ -305,6 +319,44 @@ class TestErrorPaths:
             argv += ["--echo", str(sim / "echo.bin")]
         assert main(argv) == 1
         assert f"[recovery] {setting.split()[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "image-cs"])
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("0.0,-5.0\n", "0.0,-5.0\nsnr_db = nan\n", "[scene] snr_db"),
+            ("0.0,-5.0\n", "0.0,-5.0\nsnr_db = -inf\n", "[scene] snr_db"),
+            ("measurements = 24", "measurements = 3329", "[recovery] measurements"),
+            ("selection_seed = 3", "selection_seed = 3\nsparsity = 0", "[recovery] sparsity"),
+            ("selection_seed = 3", "selection_seed = 3\nstall_tolerance = nan",
+             "[recovery] stall_tolerance"),
+            ("selection_seed = 3", "selection_seed = 3\nstall_tolerance = -1",
+             "[recovery] stall_tolerance"),
+            ("measurement_counts = 8,16", "measurement_counts = 8,16,0",
+             "[experiment] measurement_counts"),
+            ("measurement_counts = 8,16", "measurement_counts = 8,3329",
+             "[experiment] measurement_counts"),
+            ("target_counts = 1", "target_counts = 0", "[experiment] target_counts"),
+        ],
+        ids=[
+            "snr-nan", "snr-minus-inf", "measurements-above-nr-na", "sparsity-0",
+            "stall-nan", "stall-negative", "count-0", "count-above-nr-na", "targets-0",
+        ],
+    )
+    def test_bad_value_fails_at_load_naming_key(
+        self, tmp_path, simulated, capsys, command, old, new, key
+    ):
+        # the small radar holds nr * na = 104 * 32 = 3328 samples
+        _, sim = simulated
+        text = (SMALL_SCENE + TestSweep.SWEEP[len(SMALL_BASE):]).replace(old, new, 1)
+        assert new in text
+        cfg_path = write_config(tmp_path, text, "bad", name="bad.ini")
+        argv = [command, "--config", str(cfg_path)]
+        if command == "image-cs":
+            argv += ["--echo", str(sim / "echo.bin")]
+        assert main(argv) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize(
         "content",

@@ -124,6 +124,16 @@ class TestValidation:
             ("recovery", "residual_threshold", "-1"),
             ("recovery", "residual_threshold", "nan"),
             ("experiment", "mode", "psr_vs_q"),
+            ("scene", "snr_db", "nan"),
+            ("scene", "snr_db", "-inf"),
+            ("recovery", "sparsity", "0"),
+            ("recovery", "stall_tolerance", "nan"),
+            ("recovery", "stall_tolerance", "-1"),
+            ("experiment", "measurement_counts", "8,16,0"),
+            ("experiment", "target_counts", "1,0"),
+            # the stock radar holds nr * na = 1213 * 595 = 721735 samples
+            ("recovery", "measurements", "721736"),
+            ("experiment", "measurement_counts", "8,721736"),
         ],
     )
     def test_unparsable_value_names_key(self, tmp_path, section, key, value):
@@ -182,6 +192,14 @@ class TestEffectiveConfig:
         assert spec.workers == 2
         back = load_config(write(tmp_path, cfg.render_effective(), name="eff.ini"))
         assert back.experiment_spec() == spec
+
+    def test_recovery_limits_reach_the_sweep(self, tmp_path):
+        text = SMALL_RADAR + (
+            "\n[recovery]\nmax_iterations = 3\nstall_tolerance = 0.25\n"
+            "\n[experiment]\nmode = psr_vs_m\ntarget_counts = 1\nmeasurement_counts = 8\n"
+        )
+        spec = load_config(write(tmp_path, text)).experiment_spec()
+        assert (spec.max_iterations, spec.stall_tolerance) == (3, 0.25)
 
     def test_sweep_without_experiment_section_rejected(self, tmp_path):
         cfg = load_config(write(tmp_path, SMALL_RADAR))

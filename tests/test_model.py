@@ -11,9 +11,7 @@ from sarcs.model import (
     check_simulation_geometry,
     flat_index,
     grid_to_physical,
-    physical_columns,
     unflatten,
-    xband_stripmap_params,
 )
 
 from conftest import small_radar, small_search_grid
@@ -29,8 +27,8 @@ def production_grid():
 
 
 class TestRadarParams:
-    def test_production_values_pass_invariants(self):
-        p = xband_stripmap_params(tau0=2.0 * 29992.5 / 3e8)
+    def test_production_values_pass_invariants(self, full_params):
+        p = full_params
         assert p.v == 250.0
         assert p.kr == pytest.approx(1e13, rel=1e-12)
         assert p.nr == 1213 and p.na == 595
@@ -122,19 +120,6 @@ class TestGridIndexing:
             seen[flat] = True
         assert seen.all()
 
-    def test_physical_columns_matches_scalar_map(self, production_grid):
-        flats = np.array([0, 1, 31, 961, 116280])
-        xs, ys, vxs, vys = physical_columns(production_grid, flats)
-        for i, flat in enumerate(flats):
-            coord = unflatten(int(flat), production_grid)
-            assert grid_to_physical(coord, production_grid) == (
-                xs[i], ys[i], vxs[i], vys[i],
-            )
-
-    def test_physical_columns_rejects_out_of_range(self, production_grid):
-        with pytest.raises(ValueError):
-            physical_columns(production_grid, np.array([production_grid.size]))
-
 
 class TestGridToPhysical:
     def test_origin(self, production_grid):
@@ -183,9 +168,8 @@ class TestExtendedGridValidation:
 
 
 class TestSimulationGeometry:
-    def test_production_pair_passes(self, production_grid):
-        params = xband_stripmap_params(tau0=2.0 * production_grid.x0 / 3e8)
-        check_simulation_geometry(params, production_grid)
+    def test_production_pair_passes(self, full_params, production_grid):
+        check_simulation_geometry(full_params, production_grid)
 
     def test_small_pair_passes(self):
         check_simulation_geometry(small_radar(), small_search_grid())

@@ -20,6 +20,13 @@ def echo(params):
     return EchoMatrix(samples, params)
 
 
+def write_container(path, samples):
+    """SARECHO1 bytes written by hand: EchoMatrix refuses the samples the
+    corruption tests need."""
+    header = struct.pack("<8sII", b"SARECHO1", *samples.shape)
+    path.write_bytes(header + np.ascontiguousarray(samples, dtype="<c16").tobytes())
+
+
 class TestEchoContainer:
     def test_roundtrip_exact(self, tmp_path, params, echo):
         path = tmp_path / "echo.bin"
@@ -39,32 +46,32 @@ class TestEchoContainer:
         re, im = struct.unpack("<dd", raw[16:32])
         assert complex(re, im) == echo.samples[0, 0]
 
-    def test_wrong_magic_rejected(self, tmp_path, echo):
+    def test_wrong_magic_rejected(self, tmp_path, params, echo):
         path = tmp_path / "foreign.bin"
         storage.write_echo(path, echo)
         path.write_bytes(b"SARXXXX1" + path.read_bytes()[8:])
         with pytest.raises(storage.FormatError, match="magic"):
-            storage.read_complex_matrix(path)
+            storage.read_echo(path, params)
 
     def test_truncated_payload_rejected(self, tmp_path, params, echo):
         path = tmp_path / "echo.bin"
         storage.write_echo(path, echo)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(storage.FormatError, match="payload"):
-            storage.read_complex_matrix(path)
+            storage.read_echo(path, params)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_sample_rejected(self, tmp_path, echo, value):
+    def test_non_finite_sample_rejected(self, tmp_path, params, echo, value):
         path = tmp_path / "echo.bin"
         samples = echo.samples.copy()
         samples[3, 2] = complex(0.0, value)
-        storage.write_complex_matrix(path, samples)
+        write_container(path, samples)
         with pytest.raises(storage.FormatError, match="echo.bin.*non-finite"):
-            storage.read_complex_matrix(path)
+            storage.read_echo(path, params)
 
     def test_dimension_mismatch_rejected(self, tmp_path, params, echo):
         path = tmp_path / "echo.bin"
-        storage.write_complex_matrix(path, echo.samples[:-1])
+        write_container(path, echo.samples[:-1])
         with pytest.raises(ValueError, match="expects"):
             storage.read_echo(path, params)
 
