@@ -85,7 +85,7 @@ def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> l
         f"iterations = {diag.iterations}",
         f"halt = {diag.halt_reason}",
         f"residual = {diag.final_residual_norm!r}",
-        f"recovered = {out_dir / 'recovered.csv'} ({len(profile.entries)} entries)",
+        f"recovered = {out_dir / 'recovered.csv'} ({profile.flat.size} entries)",
     ]
     if truth is not None:
         lines.append(f"relative_error = {relative_error(profile, truth)!r}")

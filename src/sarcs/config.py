@@ -47,6 +47,13 @@ def _at_least_one(raw: str) -> int:
     return value
 
 
+def _non_negative_int(raw: str) -> int:
+    value = _integer(raw)
+    if value < 0:
+        raise ValueError("must be non-negative")
+    return value
+
+
 def _non_negative(raw: str) -> float:
     value = float(raw)
     if not value >= 0.0:
@@ -177,7 +184,7 @@ _KEYS = (
     _Key("grid", "nvx", "nvx", _integer, repr, 11),
     _Key("grid", "nvy", "nvy", _integer, repr, 11),
     _Key("scene", "targets", "targets", _targets, _render_targets, ()),
-    _Key("scene", "random_targets", "random_k", _integer, repr, None),
+    _Key("scene", "random_targets", "random_k", _non_negative_int, repr, None),
     _Key("scene", "scene_seed", "scene_seed", _integer, repr, 0),
     _Key("scene", "snr_db", "snr_db", _snr, repr, None),
     _Key("scene", "noise_seed", "noise_seed", _integer, repr, 0),
@@ -365,15 +372,18 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[radar]/[grid]: {exc}") from exc
 
-    samples = params.nr * params.na
-    for key, counts in (
-        ("[recovery] measurements", (run["measurements"],)),
-        ("[experiment] measurement_counts", run["measurement_counts"]),
+    total = params.nr * params.na
+    samples = (total, f"the nr * na = {total} echo samples")
+    cells = (grid.size, f"the nx * ny * nvx * nvy = {grid.size} grid cells")
+    for key, counts, (limit, what) in (
+        ("[recovery] measurements", (run["measurements"],), samples),
+        ("[experiment] measurement_counts", run["measurement_counts"], samples),
+        ("[experiment] target_counts", run["target_counts"], cells),
+        ("[scene] random_targets", (run["random_k"] or 0,), cells),
+        ("[recovery] sparsity", (run["sparsity"] or 0,), cells),
     ):
-        if max(counts, default=0) > samples:
-            raise ConfigError(
-                f"{key}: {max(counts)} exceeds the nr * na = {samples} echo samples"
-            )
+        if max(counts, default=0) > limit:
+            raise ConfigError(f"{key}: {max(counts)} exceeds {what}")
     if run["targets"] and run["random_k"] is not None:
         raise ConfigError(
             "[scene] random_targets: give either explicit targets or a random count"

@@ -147,7 +147,7 @@ def run_trial(
     subsample. The recovery runs with the true target count and, when the
     noise level is known, an error threshold of sqrt(M * noise variance).
     """
-    k = len(truth.entries)
+    k = truth.flat.size
     if k < 1:
         raise ValueError("trial needs at least one target")
     selection = select_measurements(m, params.nr * params.na, selection_seed)

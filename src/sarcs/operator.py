@@ -184,6 +184,8 @@ class SensingOperator:
     def columns(self, flat: np.ndarray) -> np.ndarray:
         """Explicit M-by-K restricted columns for the given flat indices."""
         flat = np.asarray(flat, dtype=np.int64)
+        if flat.size and (flat.min() < 0 or flat.max() >= self.n_cols):
+            raise ValueError(f"column index outside [0, {self.n_cols})")
         self._ensure_cache()
         if self._cache is not None:
             return self._cache[:, flat]
@@ -197,10 +199,9 @@ class SensingOperator:
         y[i] = sum_g a[g] * atom_g[i] over the profile's columns only."""
         if profile.grid != self.grid:
             raise ValueError("profile grid does not match the operator grid")
-        flat = profile.flat_indices()
-        if flat.size == 0:
+        if profile.flat.size == 0:
             return np.zeros(self.n_rows, dtype=np.complex128)
-        return self.columns(flat) @ profile.coefficients()
+        return self.columns(profile.flat) @ profile.coefficients
 
     def adjoint(self, residual: np.ndarray) -> np.ndarray:
         """Conjugate-transpose product: out[g] = sum_i conj(atom_g[i]) r[i]."""

@@ -52,43 +52,45 @@ class RecoveryConfig:
             raise ValueError("need at least one iteration")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SparseProfile:
-    """Sparse complex reflectivity profile over an :class:`ExtendedGrid`."""
+    """Sparse complex reflectivity profile over an :class:`ExtendedGrid`: read-only
+    int64 ``flat`` cell indices and complex128 ``coefficients``, in entry order."""
 
-    entries: tuple[tuple[GridCoord, complex], ...]
+    flat: np.ndarray
+    coefficients: np.ndarray
     grid: ExtendedGrid
 
-    def __post_init__(self) -> None:
-        entries = tuple((coord, complex(value)) for coord, value in self.entries)
-        object.__setattr__(self, "entries", entries)
-        flats = [flat_index(coord, self.grid) for coord, _ in entries]
-        if len(set(flats)) != len(flats):
-            raise ValueError("profile contains duplicate grid coordinates")
+    def __init__(self, entries, grid: ExtendedGrid) -> None:
+        pairs = tuple(entries)
+        self._fill(grid, [flat_index(coord, grid) for coord, _ in pairs], [v for _, v in pairs])
 
     @classmethod
-    def from_flat(
-        cls, grid: ExtendedGrid, flat: np.ndarray, coefficients: np.ndarray
-    ) -> "SparseProfile":
-        entries = tuple(
-            (unflatten(int(g), grid), complex(c)) for g, c in zip(flat, coefficients)
-        )
-        return cls(entries, grid)
+    def from_flat(cls, grid: ExtendedGrid, flat, coefficients) -> "SparseProfile":
+        profile = cls.__new__(cls)
+        profile._fill(grid, flat, coefficients)
+        return profile
 
-    def flat_indices(self) -> np.ndarray:
-        return np.array(
-            [flat_index(coord, self.grid) for coord, _ in self.entries], dtype=np.int64
-        )
+    def _fill(self, grid: ExtendedGrid, flat, coefficients) -> None:
+        flat = np.array(flat, dtype=np.int64)  # private copies
+        coefficients = np.array(coefficients, dtype=np.complex128)
+        if flat.ndim != 1 or coefficients.shape != flat.shape:
+            raise ValueError("flat indices and coefficients must be 1-D and of equal length")
+        if flat.size and (flat.min() < 0 or flat.max() >= grid.size):
+            raise ValueError(f"flat index outside [0, {grid.size})")
+        if np.unique(flat).size != flat.size:
+            raise ValueError("profile contains duplicate grid coordinates")
+        flat.flags.writeable = False
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "grid", grid)
 
-    def coefficients(self) -> np.ndarray:
-        return np.array([value for _, value in self.entries], dtype=np.complex128)
-
-    def dense(self) -> np.ndarray:
-        """Embed into the full column-stacked coefficient vector."""
-        out = np.zeros(self.grid.size, dtype=np.complex128)
-        if self.entries:
-            out[self.flat_indices()] = self.coefficients()
-        return out
+    @property
+    def entries(self) -> tuple[tuple[GridCoord, complex], ...]:
+        """Readable ``(GridCoord, reflectivity)`` pairs, in entry order."""
+        pairs = zip(self.flat.tolist(), self.coefficients.tolist())
+        return tuple((unflatten(g, self.grid), c) for g, c in pairs)
 
 
 @dataclass
@@ -230,8 +232,11 @@ def relative_error(estimate: SparseProfile, truth: SparseProfile) -> float:
     """l2 error of the dense embeddings, normalized by the truth norm."""
     if estimate.grid != truth.grid:
         raise ValueError("profiles live on different grids")
-    truth_dense = truth.dense()
+    truth_dense = np.zeros(truth.grid.size, dtype=np.complex128)
+    truth_dense[truth.flat] = truth.coefficients
     truth_norm = float(np.linalg.norm(truth_dense))
     if truth_norm == 0.0:
         raise ValueError("relative error is undefined for a zero truth profile")
-    return float(np.linalg.norm(estimate.dense() - truth_dense)) / truth_norm
+    estimate_dense = np.zeros(truth.grid.size, dtype=np.complex128)
+    estimate_dense[estimate.flat] = estimate.coefficients
+    return float(np.linalg.norm(estimate_dense - truth_dense)) / truth_norm

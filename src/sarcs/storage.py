@@ -4,8 +4,10 @@ The binary container is little-endian throughout: a 16-byte header
 (8-byte magic, uint32 row count, uint32 column count) followed by the
 row-major samples, each stored as a float64 real/imaginary pair. Magic
 ``SARECHO1`` marks a raw nr-by-na echo. A file that breaks this layout or
-holds a NaN or infinite sample, or a profile CSV without its grid columns,
-raises :class:`FormatError`.
+holds a NaN or infinite sample, or a profile CSV without its grid columns
+or with an unparsable, non-finite or repeated row, raises
+:class:`FormatError`. Well-formed files that disagree with the config (an
+echo of another shape, a profile cell off the grid) raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .echo import EchoMatrix
-from .model import ExtendedGrid, GridCoord, RadarParams, flat_index, grid_to_physical
+from .model import ExtendedGrid, GridCoord, RadarParams, grid_to_physical
 from .recovery import CosampDiagnostics, SparseProfile
 
 __all__ = [
@@ -87,11 +89,11 @@ def write_profile_csv(path, profile: SparseProfile, physical: bool = False) -> N
         header += ",x,y,vx,vy"
     header += ",re,im"
     lines = [header]
-    order = np.argsort(profile.flat_indices()) if profile.entries else []
-    entries = [profile.entries[i] for i in order]
-    for coord, value in entries:
+    entries = profile.entries
+    for i in np.argsort(profile.flat):
+        coord, value = entries[i]
         row = [
-            str(flat_index(coord, profile.grid)),
+            str(profile.flat[i]),
             str(coord.n1),
             str(coord.n2),
             str(coord.p),
@@ -114,16 +116,25 @@ def read_profile_csv(path, grid: ExtendedGrid) -> SparseProfile:
     missing = [name for name in _PROFILE_COLUMNS if name not in columns]
     if missing:
         raise FormatError(f"{path}: profile CSV lacks columns {','.join(missing)}")
-    entries = []
+    shape = (grid.nx, grid.ny, grid.nvx, grid.nvy)
+    entries: dict[GridCoord, complex] = {}
     for number, line in enumerate(lines[1:], start=2):
         fields = dict(zip(columns, line.split(",")))
         try:
-            n1, n2, p, q = (int(fields[name]) for name in _PROFILE_COLUMNS[:4])
+            index = tuple(int(fields[name]) for name in _PROFILE_COLUMNS[:4])
             value = complex(float(fields["re"]), float(fields["im"]))
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}: line {number}: cannot parse {line!r}") from exc
-        entries.append((GridCoord(n1, n2, p, q), value))
-    return SparseProfile(tuple(entries), grid)
+        if not np.isfinite(value):
+            raise FormatError(f"{path}: line {number}: non-finite coefficient in {line!r}")
+        if not all(0 <= i < n for i, n in zip(index, shape)):
+            # a well-formed row that disagrees with the configured grid
+            raise ValueError(f"{path}: line {number}: cell {index} outside grid shape {shape}")
+        coord = GridCoord(*index)
+        if coord in entries:
+            raise FormatError(f"{path}: line {number}: duplicate grid coordinates {index}")
+        entries[coord] = value
+    return SparseProfile(entries.items(), grid)
 
 
 def write_diagnostics_csv(path, diag: CosampDiagnostics) -> None:

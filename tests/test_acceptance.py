@@ -44,7 +44,7 @@ class TestThreeTargetImaging:
     ):
         _, truth, coords = three_target_scene
         profile, diag = three_target_recovery
-        recovered = sorted(profile.flat_indices().tolist())
+        recovered = sorted(profile.flat.tolist())
         expected = sorted(flat_index(c, full_grid) for c in coords)
         error = relative_error(profile, truth)
         assert recovered == expected
@@ -224,7 +224,7 @@ class TestExhaustiveOracleAgreement:
 
             op = SensingOperator(params, oracle_grid, sel)
             profile, _ = cosamp(op, y, RecoveryConfig(sparsity=1))
-            if profile.flat_indices().tolist() == [oracle_flat]:
+            if profile.flat.tolist() == [oracle_flat]:
                 matches += 1
         assert matches >= problems - 1
         print(f"PASS: greedy choice equals exhaustive oracle in {matches}/{problems} problems")

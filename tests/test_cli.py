@@ -40,9 +40,11 @@ nvx = 2
 nvy = 2
 """
 
-SMALL_SCENE = SMALL_BASE + """
+SCENE_TARGETS = "targets = 2004.0,1.0,0.0,0.0 ; 2002.0,3.0,0.0,-5.0"
+
+SMALL_SCENE = SMALL_BASE + f"""
 [scene]
-targets = 2004.0,1.0,0.0,0.0 ; 2002.0,3.0,0.0,-5.0
+{SCENE_TARGETS}
 
 [recovery]
 measurements = 24
@@ -123,7 +125,7 @@ class TestImageCs:
         cfg = load_config(cfg_path)
         recovered = read_profile_csv(tmp_path / "cs" / "recovered.csv", cfg.grid)
         truth = read_profile_csv(sim / "truth.csv", cfg.grid)
-        assert set(recovered.flat_indices()) == set(truth.flat_indices())
+        assert set(recovered.flat) == set(truth.flat)
         assert (tmp_path / "cs" / "diagnostics.csv").exists()
         header = (tmp_path / "cs" / "recovered.csv").read_text().splitlines()[0]
         assert header == "flat_index,n1,n2,p,q,x,y,vx,vy,re,im"
@@ -337,16 +339,23 @@ class TestErrorPaths:
             ("measurement_counts = 8,16", "measurement_counts = 8,3329",
              "[experiment] measurement_counts"),
             ("target_counts = 1", "target_counts = 0", "[experiment] target_counts"),
+            ("target_counts = 1", "target_counts = 1,65", "[experiment] target_counts"),
+            (SCENE_TARGETS, "random_targets = 65", "[scene] random_targets"),
+            (SCENE_TARGETS, "random_targets = -1", "[scene] random_targets"),
+            ("selection_seed = 3", "selection_seed = 3\nsparsity = 65", "[recovery] sparsity"),
         ],
         ids=[
             "snr-nan", "snr-minus-inf", "measurements-above-nr-na", "sparsity-0",
             "stall-nan", "stall-negative", "count-0", "count-above-nr-na", "targets-0",
+            "targets-above-cells", "random-above-cells", "random-negative",
+            "sparsity-above-cells",
         ],
     )
     def test_bad_value_fails_at_load_naming_key(
         self, tmp_path, simulated, capsys, command, old, new, key
     ):
-        # the small radar holds nr * na = 104 * 32 = 3328 samples
+        # the small radar holds nr * na = 104 * 32 = 3328 samples on a
+        # 4 x 4 x 2 x 2 = 64-cell grid
         _, sim = simulated
         text = (SMALL_SCENE + TestSweep.SWEEP[len(SMALL_BASE):]).replace(old, new, 1)
         assert new in text
@@ -364,19 +373,42 @@ class TestErrorPaths:
             b"a,b\n1,2\n",
             b"flat_index,n1,n2,p,q,re,im\n0,0,0,x,0,1.0,0.0\n",
             b"\xff\xfe\x00",
+            b"flat_index,n1,n2,p,q,re,im\n0,0,0,0,0,nan,0.0\n",
+            b"flat_index,n1,n2,p,q,re,im\n0,0,0,0,0,1.0,inf\n",
+            b"flat_index,n1,n2,p,q,re,im\n1,1,0,0,0,1.0,0.0\n1,1,0,0,0,2.0,0.0\n",
         ],
-        ids=["no-grid-columns", "non-numeric-field", "binary"],
+        ids=["no-grid-columns", "non-numeric-field", "binary", "nan-re", "inf-im",
+             "duplicate-rows"],
     )
     def test_malformed_truth_is_format_error(self, tmp_path, simulated, capsys, content):
         cfg_path, sim = simulated
         truth = tmp_path / "bad_truth.csv"
         truth.write_bytes(content)
-        code = main([
-            "image-cs", "--config", str(cfg_path),
-            "--echo", str(sim / "echo.bin"), "--truth", str(truth),
-        ])
-        assert code == 2
-        assert "bad_truth.csv" in capsys.readouterr().err
+        rows = content.count(b"\n")
+        for command in ("image-cs", "image-mf"):
+            code = main([
+                command, "--config", str(cfg_path),
+                "--echo", str(sim / "echo.bin"), "--truth", str(truth),
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "bad_truth.csv" in err
+            if b"re,im" in content:
+                # a bad row is named by its line number
+                assert f"bad_truth.csv: line {rows}:" in err
+
+    def test_off_grid_truth_row_is_config_error(self, tmp_path, simulated, capsys):
+        # a well-formed row that the 4 x 4 x 2 x 2 grid of the config cannot hold
+        cfg_path, sim = simulated
+        truth = tmp_path / "off_grid.csv"
+        truth.write_text("flat_index,n1,n2,p,q,re,im\n1,1,0,0,0,1.0,0.0\n9,9,0,0,0,1.0,0.0\n")
+        for command in ("image-cs", "image-mf"):
+            code = main([
+                command, "--config", str(cfg_path),
+                "--echo", str(sim / "echo.bin"), "--truth", str(truth),
+            ])
+            assert code == 1
+            assert "off_grid.csv: line 3:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, b"a,b\n1,2\n"], ids=["missing", "no-grid-columns"])
     def test_bad_truth_fails_before_recovery(self, tmp_path, simulated, content):

@@ -134,6 +134,11 @@ class TestValidation:
             # the stock radar holds nr * na = 1213 * 595 = 721735 samples
             ("recovery", "measurements", "721736"),
             ("experiment", "measurement_counts", "8,721736"),
+            # and nx * ny * nvx * nvy = 31 * 31 * 11 * 11 = 116281 grid cells
+            ("experiment", "target_counts", "1,116282"),
+            ("scene", "random_targets", "116282"),
+            ("scene", "random_targets", "-1"),
+            ("recovery", "sparsity", "116282"),
         ],
     )
     def test_unparsable_value_names_key(self, tmp_path, section, key, value):

@@ -46,7 +46,7 @@ class TestRandomScene:
     def test_draws_distinct_cells(self, grid):
         for seed in range(50):
             _, truth = random_scene(4, grid, seed=seed)
-            flats = truth.flat_indices()
+            flats = truth.flat
             assert np.unique(flats).size == 4
 
     def test_targets_match_truth_coordinates(self, grid):

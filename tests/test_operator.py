@@ -87,6 +87,17 @@ class TestOperatorConstruction:
         op.adjoint(np.ones(8, dtype=complex))
         assert op._cache is None
 
+    @pytest.mark.parametrize("policy", ["none", "full-row-cache"])
+    def test_columns_rejects_out_of_range_index(self, params, grid, policy):
+        sel = select_measurements(8, params.nr * params.na, seed=0)
+        op = SensingOperator(params, grid, sel, cache_policy=policy)
+        for bad in ([-1], [grid.size], [0, grid.size + 5]):
+            with pytest.raises(ValueError, match="outside"):
+                op.columns(np.array(bad))
+        assert op.columns(np.empty(0, dtype=np.int64)).shape == (8, 0)
+        assert (op._cache is not None) == (policy == "full-row-cache")
+        assert op.columns([grid.size - 1]).shape == (8, 1)
+
 
 class TestAtomSample:
     @staticmethod

@@ -1,5 +1,5 @@
-"""Hypothesis properties of the operator, indexing, container and solver on
-random small grids."""
+"""Hypothesis properties of the operator, indexing, container, profiles and
+solver on random small grids."""
 
 import tempfile
 from pathlib import Path
@@ -14,7 +14,7 @@ from sarcs import operator, storage
 from sarcs.echo import EchoMatrix
 from sarcs.model import GridCoord, flat_index, unflatten
 from sarcs.operator import SensingOperator, select_measurements
-from sarcs.recovery import RecoveryConfig, cosamp
+from sarcs.recovery import RecoveryConfig, SparseProfile, cosamp
 
 from conftest import small_radar, small_search_grid
 
@@ -36,6 +36,17 @@ quick = settings(deadline=None, max_examples=25, derandomize=True)
 
 def complex_normal(rng, size):
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def draw_profile(data, grid, values=st.complex_numbers(allow_nan=False, allow_infinity=False)):
+    """A random profile through ``from_flat``, plus the lists it was built from."""
+    flat = data.draw(
+        st.lists(st.integers(0, grid.size - 1), unique=True, max_size=8), label="flat"
+    )
+    coefficients = data.draw(
+        st.lists(values, min_size=len(flat), max_size=len(flat)), label="coefficients"
+    )
+    return SparseProfile.from_flat(grid, np.array(flat), coefficients), flat, coefficients
 
 
 @quick
@@ -120,17 +131,58 @@ def test_cosamp_contracts(grid, seed, k, extra_rows, scale):
     cfg = RecoveryConfig(sparsity=k, max_iterations=8)
 
     profile, diag = cosamp(op, y, cfg)
-    flats = profile.flat_indices()
+    flats = profile.flat
     assert flats.size <= k
     assert all(len(support) <= k for support in diag.support_history)
 
     cols = op.columns(flats)
-    residual = y - cols @ profile.coefficients()
+    residual = y - cols @ profile.coefficients
     overlap = np.abs(cols.conj().T @ residual)
     assert np.all(overlap <= 1e-8 * np.linalg.norm(cols, axis=0) * np.linalg.norm(y))
 
     scaled, _ = cosamp(op, scale * y, cfg)
-    assert np.array_equal(scaled.flat_indices(), flats)
+    assert np.array_equal(scaled.flat, flats)
     assert np.allclose(
-        scaled.coefficients(), scale * profile.coefficients(), rtol=1e-10, atol=1e-12
+        scaled.coefficients, scale * profile.coefficients, rtol=1e-10, atol=1e-12
     )
+
+
+@quick
+@given(grid=grids, data=st.data())
+def test_profile_constructors_agree_and_are_read_only(grid, data):
+    profile, flat, coefficients = draw_profile(data, grid)
+    pairs = SparseProfile(zip((unflatten(g, grid) for g in flat), coefficients), grid)
+    assert profile.flat.dtype == np.int64 and profile.coefficients.dtype == np.complex128
+    assert profile.flat.tolist() == flat
+    assert profile.coefficients.tobytes() == np.array(coefficients, np.complex128).tobytes()
+    assert np.array_equal(pairs.flat, profile.flat) and pairs.flat.dtype == np.int64
+    assert pairs.coefficients.tobytes() == profile.coefficients.tobytes()
+    assert pairs.entries == profile.entries
+    for array in (profile.flat, profile.coefficients, pairs.flat, pairs.coefficients):
+        assert not array.flags.writeable
+
+
+@quick
+@given(grid=grids, data=st.data(), physical=st.booleans())
+def test_profile_csv_round_trips_bit_for_bit(grid, data, physical):
+    profile, _, _ = draw_profile(data, grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profile.csv"
+        storage.write_profile_csv(path, profile, physical=physical)
+        back = storage.read_profile_csv(path, grid)
+    # rows are written in flat order
+    order = np.argsort(profile.flat)
+    assert np.array_equal(back.flat, profile.flat[order])
+    assert back.coefficients.tobytes() == profile.coefficients[order].tobytes()
+
+
+@quick
+@given(grid=grids, m=st.integers(1, 40), seed=seeds, data=st.data())
+def test_forward_is_columns_times_coefficients(grid, m, seed, data):
+    profile, _, _ = draw_profile(data, grid, st.complex_numbers(max_magnitude=1e3))
+    sel = select_measurements(m, TOTAL, seed)
+    for policy in POLICIES:
+        op = SensingOperator(PARAMS, grid, sel, policy)
+        out = op.forward(profile)
+        assert out.shape == (m,)
+        assert np.array_equal(out, op.columns(profile.flat) @ profile.coefficients)

@@ -1,0 +1,27 @@
+"""The README's library sketch runs against the current API."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def library_sketch() -> str:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match, "README has no python block under '## Library sketch'"
+    return match.group(1)
+
+
+def test_library_sketch_runs(monkeypatch):
+    monkeypatch.chdir(ROOT)  # the sketch loads configs/ by relative path
+    namespace = {"__name__": "readme_sketch"}
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(library_sketch(), "README.md", "exec"), namespace)
+    profile = namespace["profile"]
+    assert profile.flat.size == 1
+    assert str(profile.entries[0][0]) in printed.getvalue()

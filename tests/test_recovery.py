@@ -7,6 +7,13 @@ from sarcs.operator import SensingOperator, select_measurements
 from sarcs.recovery import RecoveryConfig, SparseProfile, cosamp, relative_error
 
 
+def dense(profile):
+    """Embed a profile into the full column-stacked coefficient vector."""
+    out = np.zeros(profile.grid.size, dtype=np.complex128)
+    out[profile.flat] = profile.coefficients
+    return out
+
+
 def make_operator(params, grid, m, seed, policy="none"):
     sel = select_measurements(m, params.nr * params.na, seed=seed)
     return SensingOperator(params, grid, sel, cache_policy=policy)
@@ -31,15 +38,32 @@ class TestSparseProfile:
     def test_dense_embedding_uses_flat_order(self, grid):
         coord = GridCoord(2, 1, 1, 0)
         profile = SparseProfile(((coord, 3.0 - 1.0j),), grid)
-        dense = profile.dense()
-        assert dense[flat_index(coord, grid)] == 3.0 - 1.0j
-        assert np.count_nonzero(dense) == 1
+        embedded = dense(profile)
+        assert embedded[flat_index(coord, grid)] == 3.0 - 1.0j
+        assert np.count_nonzero(embedded) == 1
+
+    @pytest.mark.parametrize(
+        "flat, coefficients",
+        [
+            ([1, 2, 3], [1.0]),
+            ([1], [1.0, 2.0]),
+            ([[1, 2]], [[1.0, 2.0]]),
+            ([-1], [1.0]),
+            ([64], [1.0]),
+            ([5, 5], [1.0, 2.0]),
+        ],
+        ids=["fewer-coefficients", "more-coefficients", "2-d", "negative", "past-end",
+             "duplicate"],
+    )
+    def test_from_flat_rejects_bad_arrays(self, grid, flat, coefficients):
+        with pytest.raises(ValueError, match="equal length|outside|duplicate"):
+            SparseProfile.from_flat(grid, flat, coefficients)
 
     def test_from_flat_roundtrip(self, grid):
         flats = np.array([5, 17, 40])
         coeffs = np.array([1.0, 2.0j, -1.0])
         profile = SparseProfile.from_flat(grid, flats, coeffs)
-        assert np.array_equal(np.sort(profile.flat_indices()), flats)
+        assert np.array_equal(np.sort(profile.flat), flats)
 
 
 class TestSingleAtomRecovery:
@@ -65,7 +89,7 @@ class TestThreeTargetRecovery:
         op = make_operator(full_params, full_grid, m=100, seed=7, policy="full-row-cache")
         y = three_target_echo.vec()[op.selection.indices]
         profile, diag = cosamp(op, y, RecoveryConfig(sparsity=3))
-        assert sorted(profile.flat_indices().tolist()) == sorted(
+        assert sorted(profile.flat.tolist()) == sorted(
             flat_index(c, full_grid) for c in coords
         )
         for _, value in profile.entries:
@@ -103,7 +127,7 @@ class TestExhaustiveOracle:
                     best_flat = flat
 
             profile, _ = cosamp(op, y, RecoveryConfig(sparsity=1))
-            if profile.flat_indices().tolist() == [best_flat]:
+            if profile.flat.tolist() == [best_flat]:
                 matches += 1
         assert matches == problems
 
@@ -145,9 +169,9 @@ class TestCosampContracts:
         alpha = 2.0 - 3.0j
         base, _ = cosamp(op, y, RecoveryConfig(sparsity=2))
         scaled, _ = cosamp(op, alpha * y, RecoveryConfig(sparsity=2))
-        assert np.array_equal(np.sort(base.flat_indices()), np.sort(scaled.flat_indices()))
-        base_dense = base.dense()
-        scaled_dense = scaled.dense()
+        assert np.array_equal(np.sort(base.flat), np.sort(scaled.flat))
+        base_dense = dense(base)
+        scaled_dense = dense(scaled)
         assert np.allclose(scaled_dense, alpha * base_dense, rtol=1e-10, atol=1e-12)
 
     def test_returned_residual_is_best_and_orthogonal(self, params, grid):
@@ -162,9 +186,9 @@ class TestCosampContracts:
         )
         profile, diag = cosamp(op, y, RecoveryConfig(sparsity=2, max_iterations=8))
         assert diag.final_residual_norm <= min(diag.residual_norms) + 1e-12
-        flats = profile.flat_indices()
+        flats = profile.flat
         cols = op.columns(flats)
-        residual = y - cols @ profile.coefficients()
+        residual = y - cols @ profile.coefficients
         overlap = np.abs(cols.conj().T @ residual)
         norms = np.linalg.norm(cols, axis=0)
         assert np.all(overlap <= 1e-8 * norms * np.linalg.norm(y))
@@ -177,7 +201,7 @@ class TestCosampContracts:
             profile, diag = cosamp(op, y, RecoveryConfig(sparsity=k, max_iterations=5))
             assert len(profile.entries) <= k
             norms = op.column_norms()
-            for flat in profile.flat_indices():
+            for flat in profile.flat:
                 assert norms[flat] > 0
 
     def test_rank_deficient_merge_drops_columns(self, params, grid):
