@@ -11,11 +11,12 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -175,6 +176,39 @@ def run_trial(
     return TrialResult(rel < SUCCESS_THRESHOLD, rel, diag.iterations, diag.halt_reason)
 
 
+def _single_blas_thread() -> None:
+    """Sweep worker initializer: run each loaded OpenBLAS on one thread.
+
+    The worker processes are the parallelism. An OpenBLAS thread keeps
+    spinning for a while after every call, so a second thread per worker
+    takes CPU from the other workers' kernel evaluations (a two-worker
+    sweep on a 2-vCPU Xeon ran about 20 % longer with it). Results do not
+    depend on the BLAS thread count. Without /proc/self/maps, or for
+    another BLAS, this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: the handle numpy and scipy use
+        except OSError:
+            continue
+        for symbol in (
+            "openblas_set_num_threads",
+            "openblas_set_num_threads64_",
+            "scipy_openblas_set_num_threads64_",
+            "scipy_openblas_set_num_threads",
+        ):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter(1)
+                break
+
+
 def _run_task(task: tuple) -> TrialResult:
     spec, k, m, snr, trial = task
     label = (spec.base_seed, spec.mode, k, m, snr, trial)
@@ -209,8 +243,10 @@ def psr_sweep(spec: ExperimentSpec) -> list[PsrPoint]:
         for trial in range(spec.trials_per_point)
     ]
     if spec.workers > 1 and len(tasks) > 1:
-        with Pool(processes=spec.workers) as pool:
-            results = pool.map(_run_task, tasks, chunksize=1)
+        # not multiprocessing.Pool: there a worker that dies (say, killed for
+        # memory) leaves map waiting forever; here it raises BrokenProcessPool
+        with ProcessPoolExecutor(spec.workers, initializer=_single_blas_thread) as pool:
+            results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(task) for task in tasks]
 

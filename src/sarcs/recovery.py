@@ -127,6 +127,20 @@ def _lstsq_drop_dependent(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     return coef, np.asarray(piv[rank:], dtype=np.int64)
 
 
+def _largest(values: np.ndarray, count: int) -> np.ndarray:
+    """Ascending positions of the ``count`` largest values, ties to the lowest
+    position and NaN ranked last: the set that the first ``count`` entries of
+    a stable argsort of ``-values`` hold, found by a partition, not a sort."""
+    if count >= values.size:
+        return np.arange(values.size)
+    key = -values
+    key[np.isnan(key)] = np.inf
+    kth = np.partition(key, count - 1)[count - 1]
+    ahead = np.flatnonzero(key < kth)
+    ties = np.flatnonzero(key == kth)[: count - ahead.size]
+    return np.union1d(ahead, ties)
+
+
 def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     """Run compressive sampling matching pursuit against a sensing operator.
 
@@ -152,8 +166,8 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
         raise ValueError("measurement vector must be 1-D and non-empty")
     k = cfg.sparsity
     norms = op.column_norms()
-    visible = norms > 0
-    n_visible = int(np.count_nonzero(visible))
+    visible = np.flatnonzero(norms > 0)
+    n_visible = visible.size
     if k > n_visible:
         raise ValueError(
             f"sparsity {k} exceeds the {n_visible} columns visible to the selection"
@@ -179,8 +193,7 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     while not halt:
         iteration += 1
         proxy = op.adjoint(residual) * inv_norms
-        order = np.argsort(-np.abs(proxy), kind="stable")
-        candidates = order[visible[order]][: 2 * k]
+        candidates = visible[_largest(np.abs(proxy[visible]), 2 * k)]
         merged = np.union1d(support, candidates)
         merged_cols = op.columns(merged)
         fit, dropped = _lstsq_drop_dependent(merged_cols, y)

@@ -1,15 +1,51 @@
+import ctypes
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
 from sarcs import experiments
 from sarcs.experiments import (
     ExperimentSpec,
+    TrialResult,
     derive_seed,
     psr_sweep,
     random_scene,
     run_trial,
 )
 from sarcs.model import flat_index, grid_to_physical
+
+
+def _openblas_threads() -> list[int]:
+    """Thread count of every OpenBLAS loaded in this process."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in (
+            "openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+        ):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def _task_reporting_blas_threads(task) -> TrialResult:
+    counts = _openblas_threads()
+    return TrialResult(all(c == 1 for c in counts), 0.0, 0, f"openblas threads {counts}")
+
+
+def _task_killing_its_worker(task) -> TrialResult:
+    os._exit(1)
 
 
 class TestDeriveSeed:
@@ -158,6 +194,35 @@ class TestPsrSweep:
         serial = psr_sweep(ExperimentSpec(workers=1, **kwargs))
         parallel = psr_sweep(ExperimentSpec(workers=2, **kwargs))
         assert serial == parallel
+
+    def test_workers_run_blas_on_one_thread(self, params, grid, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_task", _task_reporting_blas_threads)
+        spec = ExperimentSpec(
+            mode="psr_vs_m", params=params, grid=grid,
+            target_counts=(1,), measurement_counts=(8,),
+            trials_per_point=4, workers=2,
+        )
+        assert psr_sweep(spec)[0].successes == 4
+
+    def test_dead_worker_fails_the_sweep_instead_of_hanging(self, params, grid, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_task", _task_killing_its_worker)
+        spec = ExperimentSpec(
+            mode="psr_vs_m", params=params, grid=grid,
+            target_counts=(1,), measurement_counts=(8,),
+            trials_per_point=2, workers=2,
+        )
+
+        def hung(signum, frame):
+            raise TimeoutError("sweep still waiting 60 s after its worker died")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                psr_sweep(spec)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_psr_trend_non_decreasing_in_m(self, params, grid):
         spec = ExperimentSpec(

@@ -14,7 +14,7 @@ from sarcs import operator, storage
 from sarcs.echo import EchoMatrix
 from sarcs.model import GridCoord, flat_index, unflatten
 from sarcs.operator import SensingOperator, select_measurements
-from sarcs.recovery import RecoveryConfig, SparseProfile, cosamp
+from sarcs.recovery import RecoveryConfig, SparseProfile, _largest, cosamp
 
 from conftest import small_radar, small_search_grid
 
@@ -186,3 +186,18 @@ def test_forward_is_columns_times_coefficients(grid, m, seed, data):
         out = op.forward(profile)
         assert out.shape == (m,)
         assert np.array_equal(out, op.columns(profile.flat) @ profile.coefficients)
+
+
+@settings(quick, max_examples=200)
+@given(
+    values=arrays(
+        np.float64,
+        st.integers(1, 30),
+        elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, np.inf, np.nan]) | st.floats(0, 4),
+    ),
+    count=st.integers(1, 35),
+)
+def test_largest_is_the_head_of_a_stable_descending_sort(values, count):
+    # CoSaMP's candidate set: ties to the lowest index, NaN ranked last
+    head = np.sort(np.argsort(-values, kind="stable")[:count])
+    assert np.array_equal(_largest(values, count), head)
