@@ -27,7 +27,7 @@ from .model import (
     check_simulation_geometry,
 )
 from .operator import CACHE_POLICIES
-from .recovery import SparseProfile
+from .recovery import RecoveryConfig, SparseProfile
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -61,11 +61,14 @@ def _non_negative(raw: str) -> float:
     return value
 
 
-def _mode(raw: str) -> str:
-    mode = raw.strip()
-    if mode not in MODES:
-        raise ValueError(f"expected one of {', '.join(MODES)}")
-    return mode
+def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        value = raw.strip()
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return value
+
+    return parse
 
 
 def _boolean(raw: str) -> bool:
@@ -84,13 +87,6 @@ def _snr(raw: str) -> float | None:
     if not math.isfinite(value):
         raise ValueError("must be finite, or inf for no noise")
     return value
-
-
-def _cache_policy(raw: str) -> str:
-    policy = raw.strip()
-    if policy not in CACHE_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    return policy
 
 
 def _list_of(caster) -> Callable[[str], tuple]:
@@ -192,16 +188,19 @@ _KEYS = (
     _Key("recovery", "measurements", "measurements", _at_least_one, repr, 100),
     _Key("recovery", "selection_seed", "selection_seed", _integer, repr, 0),
     _Key("recovery", "residual_threshold", "residual_threshold", _non_negative, repr, None),
-    _Key("recovery", "max_iterations", "max_iterations", _at_least_one, repr, 50),
-    _Key("recovery", "stall_tolerance", "stall_tolerance", _non_negative, repr, 1e-4),
-    _Key("recovery", "cache_policy", "cache_policy", _cache_policy, str, "full-row-cache"),
+    _Key("recovery", "max_iterations", "max_iterations", _at_least_one, repr,
+         RecoveryConfig.max_iterations),
+    _Key("recovery", "stall_tolerance", "stall_tolerance", _non_negative, repr,
+         RecoveryConfig.stall_tolerance),
+    _Key("recovery", "cache_policy", "cache_policy", _choice(CACHE_POLICIES), str,
+         "full-row-cache"),
     _Key("baseline", "velocity_hypotheses", "hypotheses", _hypotheses, _render_hypotheses,
          ((0.0, 0.0),)),
-    _Key("experiment", "mode", "experiment_mode", _mode, str, None),
+    _Key("experiment", "mode", "experiment_mode", _choice(MODES), str, None),
     _Key("experiment", "target_counts", "target_counts", _counts, _render_list, ()),
     _Key("experiment", "measurement_counts", "measurement_counts", _counts, _render_list, ()),
     _Key("experiment", "snr_values_db", "snr_values_db", _list_of(float), _render_list, ()),
-    _Key("experiment", "trials_per_point", "trials_per_point", _integer, repr, 1),
+    _Key("experiment", "trials_per_point", "trials_per_point", _at_least_one, repr, 1),
     _Key("experiment", "base_seed", "base_seed", _integer, repr, 0),
     _Key("experiment", "threads", "threads", _at_least_one, repr, 1),
     _Key("output", "directory", "output_dir", str.strip, str, "out"),
@@ -275,7 +274,7 @@ class RunConfig:
                 stall_tolerance=self.stall_tolerance,
             )
         except ValueError as exc:
-            raise ConfigError(f"[experiment]: {exc}") from exc
+            raise ConfigError(f"[experiment] {exc}") from exc
 
     def _rendered_value(self, row: _Key):
         """The value ``row`` renders, or None when the key is left out."""
@@ -307,7 +306,7 @@ class RunConfig:
 
 
 def _truth_profile(scene: Scene, grid: ExtendedGrid) -> SparseProfile | None:
-    """Map explicit targets onto grid cells; None if any target is off-grid."""
+    """Explicit targets on grid cells: None if one is off-grid, ValueError if two share one."""
     entries = []
     for t in scene.targets:
         coord = []
@@ -322,10 +321,7 @@ def _truth_profile(scene: Scene, grid: ExtendedGrid) -> SparseProfile | None:
                 return None
             coord.append(index)
         entries.append((GridCoord(*coord), t.reflectivity))
-    try:
-        return SparseProfile(tuple(entries), grid)
-    except ValueError:
-        return None
+    return SparseProfile(tuple(entries), grid)
 
 
 def load_config(path) -> RunConfig:
@@ -388,4 +384,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             "[scene] random_targets: give either explicit targets or a random count"
         )
-    return RunConfig(params=params, grid=grid, **run)
+    try:
+        _truth_profile(Scene(run["targets"]), grid)
+    except ValueError as exc:
+        raise ConfigError(f"[scene] targets: {exc}") from exc
+    cfg = RunConfig(params=params, grid=grid, **run)
+    if cfg.experiment_mode is not None:
+        cfg.experiment_spec()  # checks the [experiment] section at load
+    return cfg

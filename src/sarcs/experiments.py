@@ -14,7 +14,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,7 +21,12 @@ import numpy as np
 
 from .echo import add_noise, noise_variance, scene_echo
 from .model import ExtendedGrid, RadarParams, Scene, Target, grid_to_physical
-from .operator import SensingOperator, sample_without_replacement, select_measurements
+from .operator import (
+    SensingOperator,
+    _check_row_caches_fit,
+    sample_without_replacement,
+    select_measurements,
+)
 from .recovery import RecoveryConfig, SparseProfile, cosamp, relative_error
 
 __all__ = [
@@ -37,8 +41,7 @@ __all__ = [
 
 SUCCESS_THRESHOLD = 0.1
 
-SWEEP_MODES = ("psr_vs_m", "psr_vs_snr")
-MODES = ("fig2",) + SWEEP_MODES
+MODES = ("psr_vs_m", "psr_vs_snr")
 
 
 def derive_seed(*parts) -> int:
@@ -46,10 +49,6 @@ def derive_seed(*parts) -> int:
     text = "|".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -66,32 +65,24 @@ class ExperimentSpec:
     base_seed: int = 0
     cache_policy: str = "full-row-cache"
     workers: int = 1
-    max_iterations: int = 50
-    stall_tolerance: float = 1e-4
+    max_iterations: int = RecoveryConfig.max_iterations
+    stall_tolerance: float = RecoveryConfig.stall_tolerance
 
     def __post_init__(self) -> None:
+        # each message starts with the field at fault, which config.py names as a key
         if self.mode not in MODES:
-            raise ValueError(f"unknown experiment mode {self.mode!r}")
+            raise ValueError(f"mode: unknown experiment mode {self.mode!r}")
         if self.trials_per_point < 1:
-            raise ValueError("need at least one trial per point")
+            raise ValueError("trials_per_point: need at least one trial per point")
         if self.workers < 1:
-            raise ValueError("need at least one worker")
-        if self.mode in SWEEP_MODES:
-            if not self.target_counts or not self.measurement_counts:
-                raise ValueError(f"{self.mode} needs target and measurement counts")
-            if self.mode == "psr_vs_snr" and not self.snr_values_db:
-                raise ValueError("psr_vs_snr needs a list of SNR values")
-        if self.cache_policy == "full-row-cache" and self.measurement_counts:
-            # every worker may hold one M-by-N complex row cache at a time
-            need = max(self.measurement_counts) * self.grid.size * 16 * self.workers
-            have = _physical_memory_bytes()
-            if need > have:
-                raise ValueError(
-                    f"{self.workers} worker(s) with full-row-cache need up to "
-                    f"{need / 1e9:.1f} GB for row caches, above the "
-                    f"{have / 1e9:.1f} GB of physical memory; "
-                    "lower threads or use cache_policy = none"
-                )
+            raise ValueError("workers: need at least one worker")
+        for name in ("target_counts", "measurement_counts"):
+            if not getattr(self, name):
+                raise ValueError(f"{name}: {self.mode} needs target and measurement counts")
+        if self.mode == "psr_vs_snr" and not self.snr_values_db:
+            raise ValueError("snr_values_db: psr_vs_snr needs a list of SNR values")
+        if self.cache_policy == "full-row-cache":
+            _check_row_caches_fit(max(self.measurement_counts), self.grid.size, self.workers)
 
 
 @dataclass(frozen=True)
@@ -136,8 +127,8 @@ def run_trial(
     selection_seed: int,
     noise_seed: int = 0,
     cache_policy: str = "full-row-cache",
-    max_iterations: int = 50,
-    stall_tolerance: float = 1e-4,
+    max_iterations: int = RecoveryConfig.max_iterations,
+    stall_tolerance: float = RecoveryConfig.stall_tolerance,
 ) -> TrialResult:
     """Simulate, subsample, recover, and score one scene.
 
@@ -229,10 +220,6 @@ def _run_task(task: tuple) -> TrialResult:
 
 def psr_sweep(spec: ExperimentSpec) -> list[PsrPoint]:
     """Run every sweep point and aggregate successes into PSR values."""
-    if spec.mode not in SWEEP_MODES:
-        raise ValueError(
-            f"mode {spec.mode!r} is not a sweep; use the simulate/image commands"
-        )
     snrs = [float(snr) for snr in spec.snr_values_db] if spec.mode == "psr_vs_snr" else [None]
     points = [
         (k, m, snr) for k in spec.target_counts for m in spec.measurement_counts for snr in snrs

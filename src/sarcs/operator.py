@@ -10,6 +10,7 @@ either on the fly in column blocks or into an optional M-by-N cache.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,22 @@ CACHE_POLICIES = ("none", "full-row-cache")
 # (~0.5 MB each) stay in cache. A tile holds at least one (p, q) pair.
 _BLOCK_ELEMENTS = 65_536
 
-# Refuse caches beyond ~6.4 GB; fall back to cache_policy="none" instead.
-_MAX_CACHE_ELEMENTS = 400_000_000
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_row_caches_fit(rows: int, cols: int, caches: int = 1) -> None:
+    """The memory rule of cache_policy "full-row-cache": ``caches`` M-by-N row
+    caches (one per sweep worker) must fit in physical memory together."""
+    need = caches * rows * cols * 16  # complex128 entries
+    have = _physical_memory_bytes()
+    if need > have:
+        raise ValueError(
+            f"{caches} full-row-cache(s) of {rows} x {cols} entries need "
+            f"{need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory; "
+            "use cache_policy = none (or fewer threads for a sweep)"
+        )
 
 
 def _rand_below(rng: np.random.Generator, n: int) -> int:
@@ -103,7 +118,7 @@ class SensingOperator:
     cache_policy
         "none" evaluates atoms on the fly in column blocks;
         "full-row-cache" materializes the M-by-N restricted matrix once
-        and reuses it across iterations (~16 * M * N bytes).
+        and reuses it across iterations (16 * M * N bytes).
     """
 
     def __init__(
@@ -120,10 +135,7 @@ class SensingOperator:
         if selection.indices[-1] >= total:
             raise ValueError("selection index beyond nr * na")
         if cache_policy == "full-row-cache":
-            if selection.m * grid.size > _MAX_CACHE_ELEMENTS:
-                raise ValueError(
-                    "full-row-cache would exceed the memory guard; use cache_policy='none'"
-                )
+            _check_row_caches_fit(selection.m, grid.size)
         self.params = params
         self.grid = grid
         self.selection = selection

@@ -199,10 +199,7 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
         fit, dropped = _lstsq_drop_dependent(merged_cols, y)
         diag.dropped_columns.extend(int(merged[i]) for i in dropped)
 
-        # the k largest by stable sort on negated magnitude: ties resolve to
-        # the lowest index; then ascending flat order within the pruned support
-        keep = np.argsort(-np.abs(fit), kind="stable")[:k]
-        keep.sort()
+        keep = _largest(np.abs(fit), k)
         support = merged[keep]
         coef = fit[keep]
         residual = y - merged_cols[:, keep] @ coef

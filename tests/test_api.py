@@ -1,5 +1,8 @@
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,8 @@ PUBLIC = [
     "unflatten",
 ]
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 MODULES = sorted(info.name for info in pkgutil.iter_modules(sarcs.__path__))
 
 
@@ -50,3 +55,23 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+def test_benchmark_still_binds_to_the_package(monkeypatch):
+    # perfbench/ reads run_trial's recovery defaults and swaps sarcs.cli
+    # attributes by name; a rename there must fail here, not in the benchmark
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("workload", PERFBENCH / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workload", workload)  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workload)
+        defaults = workload._TRIAL_DEFAULTS
+        assert (defaults["max_iterations"], defaults["stall_tolerance"]) == (
+            sarcs.RecoveryConfig.max_iterations, sarcs.RecoveryConfig.stall_tolerance
+        )
+        with workload.patched(workload.cli_patches(workload.Tracer())):
+            pass
+    finally:
+        sys.modules.pop("spans", None)  # perfbench's, imported by workload

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sarcs
-from sarcs import experiments
+from sarcs import experiments, operator
 from sarcs.cli import main
 from sarcs.storage import read_profile_csv
 from sarcs.config import load_config
@@ -168,6 +168,22 @@ class TestImageCs:
         ])
         assert code == 1
 
+    def test_row_cache_beyond_physical_memory_is_config_error(
+        self, tmp_path, simulated, monkeypatch, capsys
+    ):
+        # the 24-row cache of the 64-column grid needs 24 KiB
+        cfg_path, sim = simulated
+        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 24 * 1024 - 1)
+        out = tmp_path / "cs"
+        code = main([
+            "image-cs", "--config", str(cfg_path), "--echo", str(sim / "echo.bin"),
+            "--output", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
+        assert not (out / "recovered.csv").exists()
+
 
 class TestImageMf:
     def test_writes_images_and_metrics(self, tmp_path, capsys):
@@ -262,7 +278,7 @@ threads = 1
 
     def test_pool_beyond_physical_memory_is_config_error(self, tmp_path, monkeypatch, capsys):
         # two workers with 16-row caches of the 64-column grid need 32 KiB
-        monkeypatch.setattr(experiments, "_physical_memory_bytes", lambda: 32 * 1024 - 1)
+        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 32 * 1024 - 1)
         sweep = self.SWEEP.replace("threads = 1", "threads = 2")
         cfg_path = write_config(tmp_path, sweep, "big")
         assert main(["sweep", "--config", str(cfg_path)]) == 1
@@ -343,12 +359,20 @@ class TestErrorPaths:
             (SCENE_TARGETS, "random_targets = 65", "[scene] random_targets"),
             (SCENE_TARGETS, "random_targets = -1", "[scene] random_targets"),
             ("selection_seed = 3", "selection_seed = 3\nsparsity = 65", "[recovery] sparsity"),
+            (SCENE_TARGETS, "targets = 2004.0,1.0,0.0,0.0 ; 2004.0,1.0,0.0,0.0",
+             "[scene] targets"),
+            ("trials_per_point = 2", "trials_per_point = 0", "[experiment] trials_per_point"),
+            ("target_counts = 1\n", "", "[experiment] target_counts"),
+            ("measurement_counts = 8,16\n", "", "[experiment] measurement_counts"),
+            ("mode = psr_vs_m", "mode = psr_vs_snr", "[experiment] snr_values_db"),
+            ("mode = psr_vs_m", "mode = fig2", "[experiment] mode"),
         ],
         ids=[
             "snr-nan", "snr-minus-inf", "measurements-above-nr-na", "sparsity-0",
             "stall-nan", "stall-negative", "count-0", "count-above-nr-na", "targets-0",
             "targets-above-cells", "random-above-cells", "random-negative",
-            "sparsity-above-cells",
+            "sparsity-above-cells", "targets-same-cell", "trials-0", "no-target-counts",
+            "no-measurement-counts", "snr-sweep-without-snrs", "mode-fig2",
         ],
     )
     def test_bad_value_fails_at_load_naming_key(

@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from sarcs import experiments
+from sarcs import experiments, operator
 from sarcs.experiments import (
     ExperimentSpec,
     TrialResult,
@@ -140,8 +140,9 @@ class TestExperimentSpec:
             )
 
     def test_unknown_mode_rejected(self, params, grid):
-        with pytest.raises(ValueError, match="unknown experiment mode"):
-            ExperimentSpec(mode="fig5", params=params, grid=grid)
+        for mode in ("fig5", "fig2"):
+            with pytest.raises(ValueError, match="unknown experiment mode"):
+                ExperimentSpec(mode=mode, params=params, grid=grid)
 
     def test_row_caches_of_whole_pool_must_fit_memory(self, params, grid, monkeypatch):
         kwargs = dict(
@@ -149,16 +150,11 @@ class TestExperimentSpec:
             target_counts=(1,), measurement_counts=(8, 16),
         )
         need = 16 * grid.size * 16 * 3  # largest M, N columns, complex128, 3 workers
-        monkeypatch.setattr(experiments, "_physical_memory_bytes", lambda: need)
+        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need)
         ExperimentSpec(workers=3, **kwargs)
         ExperimentSpec(workers=4, cache_policy="none", **kwargs)
         with pytest.raises(ValueError, match="physical memory"):
             ExperimentSpec(workers=4, **kwargs)
-
-    def test_fig2_mode_is_not_a_sweep(self, params, grid):
-        spec = ExperimentSpec(mode="fig2", params=params, grid=grid)
-        with pytest.raises(ValueError, match="not a sweep"):
-            psr_sweep(spec)
 
 
 class TestPsrSweep:

@@ -80,6 +80,16 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError, match="cache policy"):
             SensingOperator(params, grid, sel, cache_policy="rows")
 
+    def test_row_cache_must_fit_physical_memory(self, params, grid, monkeypatch):
+        sel = select_measurements(8, params.nr * params.na, seed=0)
+        need = 8 * grid.size * 16  # M rows, N columns, complex128
+        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need)
+        SensingOperator(params, grid, sel, cache_policy="full-row-cache")
+        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need - 1)
+        SensingOperator(params, grid, sel, cache_policy="none")
+        with pytest.raises(ValueError, match="physical memory"):
+            SensingOperator(params, grid, sel, cache_policy="full-row-cache")
+
     def test_no_cache_when_policy_none(self, params, grid):
         sel = select_measurements(8, params.nr * params.na, seed=0)
         op = SensingOperator(params, grid, sel, cache_policy="none")
