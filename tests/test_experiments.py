@@ -144,6 +144,15 @@ class TestExperimentSpec:
             with pytest.raises(ValueError, match="unknown experiment mode"):
                 ExperimentSpec(mode=mode, params=params, grid=grid)
 
+    def test_fig2_mode_is_not_a_sweep(self, params, grid):
+        # The imaging figure has no sweep mode: its spec is refused before
+        # psr_sweep is reached.
+        with pytest.raises(ValueError, match="unknown experiment mode 'fig2'"):
+            psr_sweep(ExperimentSpec(
+                mode="fig2", params=params, grid=grid,
+                target_counts=(1,), measurement_counts=(16,),
+            ))
+
     def test_row_caches_of_whole_pool_must_fit_memory(self, params, grid, monkeypatch):
         kwargs = dict(
             mode="psr_vs_m", params=params, grid=grid,
