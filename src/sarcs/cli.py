@@ -9,14 +9,17 @@ outputs so the expensive echo synthesis is cached across recovery runs:
     sarcs sweep    --config run.ini            Monte Carlo PSR curves
 
 All randomness comes from seeds in the config file, so identical inputs
-produce byte-identical outputs at any thread count. Exit codes: 0 ok,
-1 config error, 2 I/O or file-format error, 3 numeric failure.
+produce byte-identical outputs at any thread count. A command creates its
+output directory only when it has results to write, so a failed run
+leaves none. Exit codes: 0 ok, 1 config error, 2 I/O or file-format
+error, 3 numeric failure, out of memory or a dead sweep worker.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +33,9 @@ from .operator import SensingOperator, select_measurements
 from .recovery import RecoveryConfig, cosamp, relative_error
 
 
-def _prepare_output(cfg: RunConfig, override: str | None) -> Path:
-    out = Path(override if override is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "effective_config.ini").write_text(cfg.render_effective())
-    return out
+def _prepare_output(cfg: RunConfig, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "effective_config.ini").write_text(cfg.render_effective())
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[str]:
@@ -42,6 +43,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[str]:
     echo = scene_echo(scene, cfg.params)
     if cfg.snr_db is not None:
         echo = add_noise(echo, cfg.snr_db, cfg.noise_seed)
+    _prepare_output(cfg, out_dir)
     storage.write_echo(out_dir / "echo.bin", echo)
     lines = [
         f"targets = {len(scene.targets)}",
@@ -52,16 +54,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[str]:
         lines.append(f"truth = {out_dir / 'truth.csv'}")
     else:
         lines.append("truth = (not written: scene has off-grid targets)")
-    if cfg.echo_magnitude_csv:
-        storage.write_magnitude_csv(out_dir / "echo_magnitude.csv", echo.samples)
     return lines
 
 
 def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> list[str]:
     echo = storage.read_echo(echo_path, cfg.params)
     truth = None if truth_path is None else storage.read_profile_csv(truth_path, cfg.grid)
-    sparsity = cfg.scene_sparsity()
-    if sparsity is None:
+    if cfg.sparsity is None:
         raise ConfigError("[recovery] sparsity: required when the scene does not fix it")
     selection = select_measurements(
         cfg.measurements, cfg.params.nr * cfg.params.na, cfg.selection_seed
@@ -72,14 +71,12 @@ def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> l
         op,
         y,
         RecoveryConfig(
-            sparsity=sparsity,
+            sparsity=cfg.sparsity,
             residual_threshold=cfg.residual_threshold,
             max_iterations=cfg.max_iterations,
             stall_tolerance=cfg.stall_tolerance,
         ),
     )
-    storage.write_profile_csv(out_dir / "recovered.csv", profile, physical=True)
-    storage.write_diagnostics_csv(out_dir / "diagnostics.csv", diag)
     lines = [
         f"measurements = {selection.m}",
         f"iterations = {diag.iterations}",
@@ -89,6 +86,9 @@ def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> l
     ]
     if truth is not None:
         lines.append(f"relative_error = {relative_error(profile, truth)!r}")
+    _prepare_output(cfg, out_dir)
+    storage.write_profile_csv(out_dir / "recovered.csv", profile, physical=True)
+    storage.write_diagnostics_csv(out_dir / "diagnostics.csv", diag)
     return lines
 
 
@@ -98,23 +98,28 @@ def cmd_image_mf(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> l
     if truth_path is not None:
         truth = storage.read_profile_csv(truth_path, cfg.grid)
         true_coords = [coord for coord, _ in truth.entries]
+    images = [
+        (f"mf_vx{vx:g}_vy{vy:g}", matched_filter_image(echo, cfg.grid, (vx, vy)))
+        for vx, vy in cfg.hypotheses
+    ]
     lines = []
-    for vx, vy in cfg.hypotheses:
-        image = matched_filter_image(echo, cfg.grid, (vx, vy))
-        stem = f"mf_vx{vx:g}_vy{vy:g}"
-        storage.write_pgm(out_dir / f"{stem}.pgm", image)
-        np.savetxt(out_dir / f"{stem}.csv", image.pixels, fmt="%.9e", delimiter=",")
+    for stem, image in images:
         line = f"{stem}: peak = {image.pixels.max():.6g}"
         if true_coords:
             pslr_db, width = sidelobe_metrics(image, true_coords)
             line += f", pslr_db = {pslr_db:.3f}, mainlobe_bins = {width}"
         lines.append(line)
+    _prepare_output(cfg, out_dir)
+    for stem, image in images:
+        storage.write_pgm(out_dir / f"{stem}.pgm", image)
+        np.savetxt(out_dir / f"{stem}.csv", image.pixels, fmt="%.9e", delimiter=",")
     return lines
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
     spec = cfg.experiment_spec()
     points = psr_sweep(spec)
+    _prepare_output(cfg, out_dir)
     storage.write_psr_csv(
         out_dir / "psr.csv",
         points,
@@ -150,7 +155,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = _prepare_output(cfg, args.output)
+        out_dir = Path(args.output if args.output is not None else cfg.output_dir)
         if args.command == "simulate":
             lines = cmd_simulate(cfg, out_dir)
         elif args.command == "image-cs":
@@ -164,6 +169,12 @@ def main(argv=None) -> int:
         return 1
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 3
+    except BrokenProcessPool as exc:
+        print(f"a sweep worker died: {exc}", file=sys.stderr)
         return 3
     except (OSError, storage.FormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -71,15 +71,6 @@ def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
-def _boolean(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError("not a boolean")
-
-
 def _snr(raw: str) -> float | None:
     value = float(raw)
     if value == math.inf:
@@ -141,24 +132,18 @@ def _render_hypotheses(pairs) -> str:
     return "; ".join(f"{vx!r},{vy!r}" for vx, vy in pairs)
 
 
-def _render_bool(value: bool) -> str:
-    return str(value).lower()
-
-
 class _Key(NamedTuple):
     section: str
     key: str
     field: str  # RadarParams for [radar], ExtendedGrid for [grid], else RunConfig
     parse: Callable[[str], Any]
     render: Callable[[Any], str]
-    default: Any  # None: absent (or derived, for chirp_rate and range_window_start)
+    default: Any  # None: absent (or derived, for range_window_start and sparsity)
 
 
 _KEYS = (
     _Key("radar", "platform_speed", "v", float, repr, 250.0),
     _Key("radar", "carrier_frequency", "f0", float, repr, 9.375e9),
-    _Key("radar", "wavelength", "wavelength", float, repr, 0.032),
-    _Key("radar", "chirp_rate", "kr", float, repr, None),
     _Key("radar", "pulse_width", "tp", float, repr, 10e-6),
     _Key("radar", "bandwidth", "bandwidth", float, repr, 100e6),
     _Key("radar", "range_sample_rate", "fs", float, repr, 120e6),
@@ -204,7 +189,6 @@ _KEYS = (
     _Key("experiment", "base_seed", "base_seed", _integer, repr, 0),
     _Key("experiment", "threads", "threads", _at_least_one, repr, 1),
     _Key("output", "directory", "output_dir", str.strip, str, "out"),
-    _Key("output", "echo_magnitude_csv", "echo_magnitude_csv", _boolean, _render_bool, False),
 )
 
 _SECTIONS: dict[str, list[_Key]] = {}
@@ -237,7 +221,6 @@ class RunConfig:
     base_seed: int
     threads: int
     output_dir: str
-    echo_magnitude_csv: bool
 
     def build_scene(self) -> tuple[Scene, SparseProfile | None]:
         """Materialize the configured scene and, when possible, its
@@ -247,13 +230,6 @@ class RunConfig:
         scene = Scene(self.targets)
         truth = _truth_profile(scene, self.grid)
         return scene, truth
-
-    def scene_sparsity(self) -> int | None:
-        if self.sparsity is not None:
-            return self.sparsity
-        if self.random_k is not None:
-            return self.random_k if self.random_k > 0 else None
-        return len(self.targets) if self.targets else None
 
     def experiment_spec(self) -> ExperimentSpec:
         if self.experiment_mode is None:
@@ -278,8 +254,6 @@ class RunConfig:
 
     def _rendered_value(self, row: _Key):
         """The value ``row`` renders, or None when the key is left out."""
-        if row.key == "sparsity":
-            return self.scene_sparsity()
         if row.key == "targets":
             # load_config rejects targets together with random_targets
             return self.targets or None
@@ -359,8 +333,6 @@ def load_config(path) -> RunConfig:
     radar, run = values["radar"], values["run"]
     try:
         grid = ExtendedGrid(**values["grid"])
-        if radar["kr"] is None:
-            radar["kr"] = radar["bandwidth"] / radar["tp"]
         if radar["tau0"] is None:
             radar["tau0"] = 2.0 * grid.x0 / radar["c"]
         params = RadarParams(**radar)
@@ -380,6 +352,8 @@ def load_config(path) -> RunConfig:
     ):
         if max(counts, default=0) > limit:
             raise ConfigError(f"{key}: {max(counts)} exceeds {what}")
+    if run["sparsity"] is None:
+        run["sparsity"] = run["random_k"] or len(run["targets"]) or None
     if run["targets"] and run["random_k"] is not None:
         raise ConfigError(
             "[scene] random_targets: give either explicit targets or a random count"

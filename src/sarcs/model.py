@@ -42,11 +42,6 @@ class RadarParams:
         Platform speed along the azimuth axis (m/s).
     f0 : float
         Carrier frequency (Hz).
-    wavelength : float
-        Carrier wavelength (m); must satisfy wavelength * f0 == c.
-    kr : float
-        Chirp rate of the transmitted pulse (Hz/s); must equal
-        bandwidth / tp.
     tp : float
         Pulse width (s).
     bandwidth : float
@@ -66,8 +61,6 @@ class RadarParams:
 
     v: float
     f0: float
-    wavelength: float
-    kr: float
     tp: float
     bandwidth: float
     fs: float
@@ -79,26 +72,22 @@ class RadarParams:
 
     def __post_init__(self) -> None:
         _require(self.v > 0, "platform speed must be positive")
-        _require(self.f0 > 0 and self.wavelength > 0, "carrier must be positive")
+        _require(self.f0 > 0, "carrier must be positive")
         _require(self.tp > 0 and self.bandwidth > 0, "pulse must be positive")
         _require(self.fs > 0, "range sample rate must be positive")
         _require(self.fa > 0, "prf must be positive")
         _require(self.na >= 1, "need at least one pulse")
         _require(self.tau0 >= 0, "range window start must be non-negative")
-        kr_nominal = self.bandwidth / self.tp
-        _require(
-            abs(self.kr - kr_nominal) <= 1e-9 * abs(kr_nominal),
-            f"chirp rate {self.kr} inconsistent with bandwidth/pulse width {kr_nominal}",
-        )
-        _require(
-            abs(self.wavelength * self.f0 - self.c) <= 1e-3 * self.c,
-            "wavelength * carrier frequency must equal the propagation speed",
-        )
         # -1e-6 guards against float roundoff in tp * fs (e.g. 1e-5 * 1.2e8).
         _require(
             self.nr >= math.ceil(self.tp * self.fs - 1e-6),
             "range window shorter than the transmitted pulse",
         )
+
+    @property
+    def kr(self) -> float:
+        """Chirp rate of the transmitted pulse, bandwidth / tp (Hz/s)."""
+        return self.bandwidth / self.tp
 
     @property
     def aperture_time(self) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "FormatError",
     "write_echo",
     "read_echo",
-    "write_magnitude_csv",
     "write_profile_csv",
     "read_profile_csv",
     "write_diagnostics_csv",
@@ -70,11 +69,6 @@ def read_echo(path, params: RadarParams) -> EchoMatrix:
             f"{path}: echo is {(rows, cols)}, config expects ({params.nr}, {params.na})"
         )
     return EchoMatrix(data.reshape(rows, cols), params)
-
-
-def write_magnitude_csv(path, samples: np.ndarray) -> None:
-    """Debug export: one row per range bin, magnitudes only."""
-    np.savetxt(path, np.abs(samples), fmt="%.9e", delimiter=",")
 
 
 def _format_float(value: float) -> str:

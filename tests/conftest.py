@@ -22,8 +22,6 @@ def small_radar(nr=104, na=32):
     return RadarParams(
         v=100.0,
         f0=1e10,
-        wavelength=0.03,
-        kr=2e13,
         tp=2e-6,
         bandwidth=40e6,
         fs=50e6,

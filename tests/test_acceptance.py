@@ -267,7 +267,6 @@ DETERMINISM_CONFIG = """
 [radar]
 platform_speed = 100.0
 carrier_frequency = 1e10
-wavelength = 0.03
 pulse_width = 2e-6
 bandwidth = 40e6
 range_sample_rate = 50e6

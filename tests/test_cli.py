@@ -2,13 +2,14 @@ import os
 import struct
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sarcs
-from sarcs import experiments, operator
+from sarcs import cli, experiments, operator
 from sarcs.cli import main
 from sarcs.storage import read_profile_csv
 from sarcs.config import load_config
@@ -17,7 +18,6 @@ SMALL_BASE = """
 [radar]
 platform_speed = 100.0
 carrier_frequency = 1e10
-wavelength = 0.03
 pulse_width = 2e-6
 bandwidth = 40e6
 range_sample_rate = 50e6
@@ -182,7 +182,7 @@ class TestImageCs:
         assert code == 1
         err = capsys.readouterr().err
         assert "physical memory" in err and "Traceback" not in err
-        assert not (out / "recovered.csv").exists()
+        assert not out.exists()
 
 
 class TestImageMf:
@@ -446,15 +446,41 @@ class TestErrorPaths:
             "--truth", str(truth), "--output", str(out),
         ])
         assert code == 2
-        assert not (out / "recovered.csv").exists()
-        assert not (out / "diagnostics.csv").exists()
+        assert not out.exists()
 
     def test_missing_echo_file_is_io_error(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_SCENE, "out")
-        code = main([
-            "image-cs", "--config", str(cfg_path), "--echo", str(tmp_path / "no.bin"),
-        ])
-        assert code == 2
+        for command in ("image-cs", "image-mf"):
+            code = main([command, "--config", str(cfg_path), "--echo", str(tmp_path / "no.bin")])
+            assert code == 2
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, attr, error, message",
+        [
+            ("image-cs", "cosamp", MemoryError, "out of memory: allocation failed"),
+            ("sweep", "psr_sweep", MemoryError("no room"), "out of memory: no room"),
+            ("sweep", "psr_sweep", BrokenProcessPool("terminated abruptly"),
+             "a sweep worker died: terminated abruptly"),
+        ],
+        ids=["image-cs-memory", "sweep-memory", "sweep-worker-died"],
+    )
+    def test_resource_failure_exits_3_in_one_line(
+        self, tmp_path, simulated, monkeypatch, capsys, command, attr, error, message
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, attr, fail)
+        _, sim = simulated
+        text = SMALL_SCENE + TestSweep.SWEEP[len(SMALL_BASE):]
+        cfg_path = write_config(tmp_path, text, "failed", name="failed.ini")
+        argv = [command, "--config", str(cfg_path)]
+        if command == "image-cs":
+            argv += ["--echo", str(sim / "echo.bin")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "failed").exists()
 
 
 class TestBlasThreads:

@@ -9,7 +9,6 @@ SMALL_RADAR = """
 [radar]
 platform_speed = 100.0
 carrier_frequency = 1e10
-wavelength = 0.03
 pulse_width = 2e-6
 bandwidth = 40e6
 range_sample_rate = 50e6
@@ -53,6 +52,11 @@ class TestDefaults:
         assert cfg.targets == ()
         assert cfg.hypotheses == ((0.0, 0.0),)
 
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "smoke"])
+    def test_chirp_rate_is_bandwidth_over_pulse_width(self, name):
+        params = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini").params
+        assert params.kr == params.bandwidth / params.tp
+
     def test_small_override(self, tmp_path):
         cfg = load_config(write(tmp_path, SMALL_RADAR))
         assert cfg.params.nr == 104
@@ -65,6 +69,7 @@ class TestSceneParsing:
         text = SMALL_RADAR + "\n[scene]\ntargets = 2004.0,1.0,0.0,0.0 ; 2002.0,3.0,0.0,-5.0,0.5,0.25\n"
         cfg = load_config(write(tmp_path, text))
         assert len(cfg.targets) == 2
+        assert cfg.sparsity == 2
         assert cfg.targets[1].reflectivity == 0.5 + 0.25j
         scene, truth = cfg.build_scene()
         assert truth is not None
@@ -85,7 +90,7 @@ class TestSceneParsing:
         scene, truth = cfg.build_scene()
         assert len(scene.targets) == 3
         assert len(truth.entries) == 3
-        assert cfg.scene_sparsity() == 3
+        assert cfg.sparsity == 3
 
     def test_both_scene_styles_rejected(self, tmp_path):
         text = SMALL_RADAR + "\n[scene]\ntargets = 2004.0,1.0,0.0,0.0\nrandom_targets = 2\n"
@@ -109,8 +114,16 @@ class TestValidation:
             load_config(write(tmp_path, "[radars]\nx = 1\n"))
 
     def test_unknown_key_names_section_and_key(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"\[radar\] pulsewidth"):
-            load_config(write(tmp_path, "[radar]\npulsewidth = 1\n"))
+        # wavelength and chirp_rate follow from the other [radar] keys, so
+        # they are not settings
+        for section, key in (
+            ("radar", "pulsewidth"),
+            ("radar", "wavelength"),
+            ("radar", "chirp_rate"),
+            ("output", "echo_magnitude_csv"),
+        ):
+            with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
+                load_config(write(tmp_path, f"[{section}]\n{key} = 1\n"))
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -181,7 +194,7 @@ class TestEffectiveConfig:
         assert back.grid == cfg.grid
         assert back.targets == cfg.targets
         # sparsity is resolved from the scene in the effective rendering
-        assert back.scene_sparsity() == cfg.scene_sparsity()
+        assert back.sparsity == cfg.sparsity
         assert back.measurements == cfg.measurements
         assert back.cache_policy == cfg.cache_policy
         assert back.render_effective() == rendered

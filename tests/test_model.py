@@ -34,20 +34,6 @@ class TestRadarParams:
         assert p.nr == 1213 and p.na == 595
         assert p.aperture_time == pytest.approx(595 / 300.0)
 
-    def test_chirp_rate_must_match_bandwidth_over_pulse(self):
-        with pytest.raises(ValueError, match="chirp rate"):
-            RadarParams(
-                v=100.0, f0=1e9, wavelength=0.3, kr=2e13, tp=2e-6,
-                bandwidth=20e6, fs=25e6, fa=100.0, nr=52, na=32, tau0=0.0,
-            )
-
-    def test_wavelength_must_match_carrier(self):
-        with pytest.raises(ValueError, match="wavelength"):
-            RadarParams(
-                v=100.0, f0=1e9, wavelength=0.4, kr=1e13, tp=2e-6,
-                bandwidth=20e6, fs=25e6, fa=100.0, nr=52, na=32, tau0=0.0,
-            )
-
     def test_window_must_hold_one_pulse(self):
         with pytest.raises(ValueError, match="shorter than"):
             small_radar(nr=99)
@@ -59,7 +45,7 @@ class TestRadarParams:
     def test_sampling_must_be_positive(self):
         for field, value in (("fa", -1.0), ("fs", 0.0), ("na", 0), ("tau0", -1e-6)):
             kwargs = dict(
-                v=100.0, f0=1e9, wavelength=0.3, kr=1e13, tp=2e-6,
+                v=100.0, f0=1e9, tp=2e-6,
                 bandwidth=20e6, fs=25e6, fa=100.0, nr=52, na=32, tau0=0.0,
             )
             kwargs[field] = value
@@ -177,8 +163,7 @@ class TestSimulationGeometry:
     def test_window_starting_late_is_rejected(self):
         params = small_radar()
         late = RadarParams(
-            v=params.v, f0=params.f0, wavelength=params.wavelength, kr=params.kr,
-            tp=params.tp, bandwidth=params.bandwidth, fs=params.fs, fa=params.fa,
+            v=params.v, f0=params.f0, tp=params.tp, bandwidth=params.bandwidth, fs=params.fs, fa=params.fa,
             nr=params.nr, na=params.na, tau0=params.tau0 + 1e-6,
         )
         with pytest.raises(ValueError, match="starts after"):

@@ -1,9 +1,12 @@
-"""The README's library sketch runs against the current API."""
+"""The README's library sketch runs against the current API, and its key
+table names every config key."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from sarcs.config import _KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,3 +28,12 @@ def test_library_sketch_runs(monkeypatch):
     profile = namespace["profile"]
     assert profile.flat.size == 1
     assert str(profile.entries[0][0]) in printed.getvalue()
+
+
+def test_configuration_keys_section_lists_every_key():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([a-z0-9_]+)(?:`| = )", section))
+    assert {row.key for row in _KEYS} - named == set()
+    for gone in ("wavelength", "chirp_rate", "echo_magnitude_csv"):
+        assert gone not in readme
