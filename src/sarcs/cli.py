@@ -12,7 +12,8 @@ All randomness comes from seeds in the config file, so identical inputs
 produce byte-identical outputs at any thread count. A command creates its
 output directory only when it has results to write, so a failed run
 leaves none. Exit codes: 0 ok, 1 config error, 2 I/O or file-format
-error, 3 numeric failure, out of memory or a dead sweep worker.
+error, 3 numeric failure, out of memory or a dead sweep worker, 130
+interrupted.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .baseline import matched_filter_image, sidelobe_metrics
 from .config import ConfigError, RunConfig, load_config
 from .echo import add_noise, scene_echo
 from .experiments import psr_sweep
-from .operator import SensingOperator, select_measurements
+from .operator import SensingOperator, _fitting_cache_policy, select_measurements
 from .recovery import RecoveryConfig, cosamp, relative_error
 
 
@@ -60,12 +61,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[str]:
 def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> list[str]:
     echo = storage.read_echo(echo_path, cfg.params)
     truth = None if truth_path is None else storage.read_profile_csv(truth_path, cfg.grid)
+    if truth is not None and not truth.coefficients.any():
+        # relative_error divides by the truth norm
+        raise ConfigError(f"{truth_path}: truth profile has no non-zero coefficient")
     if cfg.sparsity is None:
         raise ConfigError("[recovery] sparsity: required when the scene does not fix it")
     selection = select_measurements(
         cfg.measurements, cfg.params.nr * cfg.params.na, cfg.selection_seed
     )
-    op = SensingOperator(cfg.params, cfg.grid, selection, cfg.cache_policy)
+    policy = _fitting_cache_policy(selection.m, cfg.grid.size)
+    op = SensingOperator(cfg.params, cfg.grid, selection, policy)
     y = echo.vec()[selection.indices]
     profile, diag = cosamp(
         op,
@@ -182,6 +187,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     summary = "\n".join(lines)
     (out_dir / "summary.txt").write_text(summary + "\n")
     print(summary)

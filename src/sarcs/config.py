@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
+from .baseline import _hypothesis_on_grid
 from .experiments import MODES, ExperimentSpec, random_scene
 from .model import (
     ExtendedGrid,
@@ -26,7 +27,7 @@ from .model import (
     Target,
     check_simulation_geometry,
 )
-from .operator import CACHE_POLICIES
+from .operator import _fitting_cache_policy
 from .recovery import RecoveryConfig, SparseProfile
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -177,8 +178,6 @@ _KEYS = (
          RecoveryConfig.max_iterations),
     _Key("recovery", "stall_tolerance", "stall_tolerance", _non_negative, repr,
          RecoveryConfig.stall_tolerance),
-    _Key("recovery", "cache_policy", "cache_policy", _choice(CACHE_POLICIES), str,
-         "full-row-cache"),
     _Key("baseline", "velocity_hypotheses", "hypotheses", _hypotheses, _render_hypotheses,
          ((0.0, 0.0),)),
     _Key("experiment", "mode", "experiment_mode", _choice(MODES), str, None),
@@ -211,7 +210,6 @@ class RunConfig:
     residual_threshold: float | None
     max_iterations: int
     stall_tolerance: float
-    cache_policy: str
     hypotheses: tuple[tuple[float, float], ...]
     experiment_mode: str | None
     target_counts: tuple[int, ...]
@@ -244,7 +242,9 @@ class RunConfig:
                 snr_values_db=self.snr_values_db,
                 trials_per_point=self.trials_per_point,
                 base_seed=self.base_seed,
-                cache_policy=self.cache_policy,
+                cache_policy=_fitting_cache_policy(
+                    max(self.measurement_counts, default=0), self.grid.size, self.threads
+                ),
                 workers=self.threads,
                 max_iterations=self.max_iterations,
                 stall_tolerance=self.stall_tolerance,
@@ -362,6 +362,11 @@ def load_config(path) -> RunConfig:
         _truth_profile(Scene(run["targets"]), grid)
     except ValueError as exc:
         raise ConfigError(f"[scene] targets: {exc}") from exc
+    try:
+        for pair in run["hypotheses"]:
+            _hypothesis_on_grid(grid, pair)
+    except ValueError as exc:
+        raise ConfigError(f"[baseline] velocity_hypotheses: {exc}") from exc
     cfg = RunConfig(params=params, grid=grid, **run)
     if cfg.experiment_mode is not None:
         cfg.experiment_spec()  # checks the [experiment] section at load

@@ -19,14 +19,11 @@ from .echo import _azimuth_gate, _samples_at_range
 from .model import ExtendedGrid, RadarParams, check_simulation_geometry
 
 __all__ = [
-    "CACHE_POLICIES",
     "MeasurementSelection",
     "SensingOperator",
     "select_measurements",
     "sample_without_replacement",
 ]
-
-CACHE_POLICIES = ("none", "full-row-cache")
 
 # Matrix entries per evaluation tile, sized so a tile's float temporaries
 # (~0.5 MB each) stay in cache. A tile holds at least one (p, q) pair.
@@ -37,16 +34,17 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _fitting_cache_policy(rows: int, cols: int, caches: int = 1) -> str:
+    """The memory rule: cache when ``caches`` M-by-N complex128 row caches fit in RAM."""
+    return "full-row-cache" if caches * rows * cols * 16 <= _physical_memory_bytes() else "none"
+
+
 def _check_row_caches_fit(rows: int, cols: int, caches: int = 1) -> None:
-    """The memory rule of cache_policy "full-row-cache": ``caches`` M-by-N row
-    caches (one per sweep worker) must fit in physical memory together."""
-    need = caches * rows * cols * 16  # complex128 entries
-    have = _physical_memory_bytes()
-    if need > have:
+    """Refuse a "full-row-cache" that breaks the memory rule; one per sweep worker."""
+    if _fitting_cache_policy(rows, cols, caches) == "none":
         raise ValueError(
-            f"{caches} full-row-cache(s) of {rows} x {cols} entries need "
-            f"{need / 1e9:.1f} GB, above the {have / 1e9:.1f} GB of physical memory; "
-            "use cache_policy = none (or fewer threads for a sweep)"
+            f"{caches} full-row-cache(s) of {rows} x {cols} complex128 entries exceed the "
+            f"{_physical_memory_bytes() / 1e9:.1f} GB of physical memory; use cache_policy='none'"
         )
 
 
@@ -128,7 +126,7 @@ class SensingOperator:
         selection: MeasurementSelection,
         cache_policy: str = "none",
     ) -> None:
-        if cache_policy not in CACHE_POLICIES:
+        if cache_policy not in ("none", "full-row-cache"):
             raise ValueError(f"unknown cache policy {cache_policy!r}")
         check_simulation_geometry(params, grid)
         total = params.nr * params.na
@@ -204,7 +202,8 @@ class SensingOperator:
         grid = self.grid
         q, p, n2, n1 = np.unravel_index(flat, (grid.nvy, grid.nvx, grid.ny, grid.nx))
         r = np.sqrt(self._xr2[:, p, n1] + self._yr2[:, q, n2])
-        return _samples_at_range(self.params, r, self._tau, self._gate[:, q, n2])
+        atoms = _samples_at_range(self.params, r, self._tau, self._gate[:, q, n2])
+        return np.asfortranarray(atoms)  # as a cache slice is, so products round alike
 
     def forward(self, profile) -> np.ndarray:
         """Apply the restricted dictionary to a :class:`SparseProfile`:

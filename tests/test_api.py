@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -58,8 +59,15 @@ def test_every_export_resolves(name):
 
 
 def test_benchmark_still_binds_to_the_package(monkeypatch):
-    # perfbench/ reads run_trial's recovery defaults and swaps sarcs.cli
-    # attributes by name; a rename there must fail here, not in the benchmark
+    # perfbench/ reads run_trial's recovery defaults, swaps sarcs.cli
+    # attributes by name and passes cache_policy to the library; a rename
+    # there must fail here, not in the benchmark
+    for target, default in (
+        (sarcs.run_trial, "full-row-cache"),
+        (sarcs.SensingOperator, "none"),
+        (sarcs.ExperimentSpec, "full-row-cache"),
+    ):
+        assert inspect.signature(target).parameters["cache_policy"].default == default
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("workload", PERFBENCH / "workload.py")

@@ -168,21 +168,27 @@ class TestImageCs:
         ])
         assert code == 1
 
-    def test_row_cache_beyond_physical_memory_is_config_error(
-        self, tmp_path, simulated, monkeypatch, capsys
-    ):
-        # the 24-row cache of the 64-column grid needs 24 KiB
+    def test_row_cache_beyond_physical_memory_streams(self, tmp_path, simulated, monkeypatch):
+        # the 24-row cache of the 64-column grid needs exactly 24 KiB
         cfg_path, sim = simulated
-        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 24 * 1024 - 1)
-        out = tmp_path / "cs"
-        code = main([
-            "image-cs", "--config", str(cfg_path), "--echo", str(sim / "echo.bin"),
-            "--output", str(out),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "physical memory" in err and "Traceback" not in err
-        assert not out.exists()
+        policies = []
+        real = cli.SensingOperator
+
+        def recording(*args):
+            policies.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(cli, "SensingOperator", recording)
+        for name, memory in (("cached", 24 * 1024), ("streamed", 24 * 1024 - 1)):
+            monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
+            assert main([
+                "image-cs", "--config", str(cfg_path), "--echo", str(sim / "echo.bin"),
+                "--output", str(tmp_path / name),
+            ]) == 0
+        assert policies == ["full-row-cache", "none"]
+        for output in ("recovered.csv", "diagnostics.csv"):
+            cached = (tmp_path / "cached" / output).read_bytes()
+            assert (tmp_path / "streamed" / output).read_bytes() == cached, output
 
 
 class TestImageMf:
@@ -202,15 +208,16 @@ class TestImageMf:
         assert (tmp_path / "mf" / "mf_vx-5_vy-5.csv").exists()
         assert "pslr_db" in capsys.readouterr().out
 
-    def test_off_grid_hypothesis_rejected(self, tmp_path):
+    def test_off_grid_hypothesis_rejected(self, tmp_path, simulated, capsys):
+        _, sim = simulated
         text = SMALL_SCENE + "\n[baseline]\nvelocity_hypotheses = 1,0\n"
-        cfg_path = write_config(tmp_path, text, "sim")
-        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        cfg_path = write_config(tmp_path, text, "mf", name="bad.ini")
         code = main([
-            "image-mf", "--config", str(cfg_path),
-            "--echo", str(tmp_path / "sim" / "echo.bin"),
+            "image-mf", "--config", str(cfg_path), "--echo", str(sim / "echo.bin"),
         ])
         assert code == 1
+        assert "[baseline] velocity_hypotheses" in capsys.readouterr().err
+        assert not (tmp_path / "mf").exists()
 
 
 class TestSweep:
@@ -276,14 +283,21 @@ threads = 1
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         assert seen == [(1, 0.5)] * 4
 
-    def test_pool_beyond_physical_memory_is_config_error(self, tmp_path, monkeypatch, capsys):
+    def test_pool_beyond_physical_memory_streams(self, tmp_path, monkeypatch):
         # two workers with 16-row caches of the 64-column grid need 32 KiB
+        cfg_one = write_config(tmp_path, self.SWEEP, "sw1", name="one.ini")
+        assert main(["sweep", "--config", str(cfg_one)]) == 0
         monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 32 * 1024 - 1)
         sweep = self.SWEEP.replace("threads = 1", "threads = 2")
-        cfg_path = write_config(tmp_path, sweep, "big")
-        assert main(["sweep", "--config", str(cfg_path)]) == 1
-        assert "physical memory" in capsys.readouterr().err
-        assert not (tmp_path / "big" / "psr.csv").exists()
+        cfg_two = write_config(tmp_path, sweep, "big", name="two.ini")
+        assert load_config(cfg_two).experiment_spec().cache_policy == "none"
+        assert main(["sweep", "--config", str(cfg_two)]) == 0
+        rows = [
+            [line for line in (tmp_path / out / "psr.csv").read_text().splitlines()
+             if not line.startswith("#")]
+            for out in ("sw1", "big")
+        ]
+        assert rows[0] == rows[1]
 
 
 class TestErrorPaths:
@@ -366,6 +380,10 @@ class TestErrorPaths:
             ("measurement_counts = 8,16\n", "", "[experiment] measurement_counts"),
             ("mode = psr_vs_m", "mode = psr_vs_snr", "[experiment] snr_values_db"),
             ("mode = psr_vs_m", "mode = fig2", "[experiment] mode"),
+            ("[experiment]", "[baseline]\nvelocity_hypotheses = 0,0 ; 1,0\n\n[experiment]",
+             "[baseline] velocity_hypotheses"),
+            ("selection_seed = 3", "selection_seed = 3\ncache_policy = full-row-cache",
+             "[recovery] cache_policy"),
         ],
         ids=[
             "snr-nan", "snr-minus-inf", "measurements-above-nr-na", "sparsity-0",
@@ -373,6 +391,7 @@ class TestErrorPaths:
             "targets-above-cells", "random-above-cells", "random-negative",
             "sparsity-above-cells", "targets-same-cell", "trials-0", "no-target-counts",
             "no-measurement-counts", "snr-sweep-without-snrs", "mode-fig2",
+            "hypothesis-off-grid", "cache-policy-is-not-a-key",
         ],
     )
     def test_bad_value_fails_at_load_naming_key(
@@ -448,6 +467,39 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"flat_index,n1,n2,p,q,re,im\n", b"flat_index,n1,n2,p,q,re,im\n1,1,0,0,0,0.0,0.0\n"],
+        ids=["header-only", "zero-coefficient"],
+    )
+    def test_zero_truth_fails_before_recovery(
+        self, tmp_path, simulated, monkeypatch, capsys, content
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("recovery ran")
+
+        monkeypatch.setattr(cli, "cosamp", unreachable)
+        cfg_path, sim = simulated
+        truth = tmp_path / "zero_truth.csv"
+        truth.write_bytes(content)
+        out = tmp_path / "cs"
+        code = main([
+            "image-cs", "--config", str(cfg_path), "--echo", str(sim / "echo.bin"),
+            "--truth", str(truth), "--output", str(out),
+        ])
+        assert code == 1
+        assert "zero_truth.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_image_mf_accepts_the_truth_of_an_empty_scene(self, tmp_path):
+        cfg_path = write_config(tmp_path, SMALL_BASE, "sim")
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        sim = tmp_path / "sim"
+        assert main([
+            "image-mf", "--config", str(cfg_path), "--echo", str(sim / "echo.bin"),
+            "--truth", str(sim / "truth.csv"), "--output", str(tmp_path / "mf"),
+        ]) == 0
+
     def test_missing_echo_file_is_io_error(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_SCENE, "out")
         for command in ("image-cs", "image-mf"):
@@ -483,13 +535,44 @@ class TestErrorPaths:
         assert not (tmp_path / "failed").exists()
 
 
+    @pytest.mark.parametrize(
+        "command, attr", [("image-cs", "cosamp"), ("sweep", "psr_sweep")]
+    )
+    def test_interrupt_exits_130_in_one_line(self, tmp_path, simulated, command, attr):
+        # in a child process: an interrupt that escaped main would end the test session
+        _, sim = simulated
+        text = SMALL_SCENE + TestSweep.SWEEP[len(SMALL_BASE):]
+        cfg_path = write_config(tmp_path, text, "interrupted", name="interrupted.ini")
+        argv = [command, "--config", str(cfg_path)]
+        if command == "image-cs":
+            argv += ["--echo", str(sim / "echo.bin")]
+        script = (
+            "import sys\nfrom sarcs import cli\n"
+            "def interrupt(*args, **kwargs):\n    raise KeyboardInterrupt\n"
+            f"cli.{attr} = interrupt\nsys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=_package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 130
+        assert result.stderr == "interrupted\n"
+        assert not (tmp_path / "interrupted").exists()
+
+
+def _package_env(**extra) -> dict:
+    """Environment for a child ``python`` that imports this sarcs package."""
+    env = dict(os.environ, **extra)
+    package_root = str(Path(sarcs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestBlasThreads:
     SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
 
     def run_commands(self, out: Path, blas_threads: str) -> None:
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
-        package_root = str(Path(sarcs.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        env = _package_env(OPENBLAS_NUM_THREADS=blas_threads)
         sim = out / "sim"
         inputs = ["--echo", str(sim / "echo.bin"), "--truth", str(sim / "truth.csv")]
         for command, args in (

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from sarcs import operator
 from sarcs.config import ConfigError, load_config
 from sarcs.model import GridCoord
 
@@ -48,7 +49,6 @@ class TestDefaults:
         assert (cfg.grid.nx, cfg.grid.ny, cfg.grid.nvx, cfg.grid.nvy) == (31, 31, 11, 11)
         assert cfg.grid.size == 116281
         assert cfg.measurements == 100
-        assert cfg.cache_policy == "full-row-cache"
         assert cfg.targets == ()
         assert cfg.hypotheses == ((0.0, 0.0),)
 
@@ -159,7 +159,8 @@ class TestValidation:
             load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
     def test_bad_cache_policy(self, tmp_path):
-        with pytest.raises(ConfigError, match="cache_policy"):
+        # the memory rule picks the row cache, so any value is refused
+        with pytest.raises(ConfigError, match=r"\[recovery\] cache_policy: unknown key"):
             load_config(write(tmp_path, "[recovery]\ncache_policy = sparse\n"))
 
     def test_bad_thread_count(self, tmp_path):
@@ -196,7 +197,6 @@ class TestEffectiveConfig:
         # sparsity is resolved from the scene in the effective rendering
         assert back.sparsity == cfg.sparsity
         assert back.measurements == cfg.measurements
-        assert back.cache_policy == cfg.cache_policy
         assert back.render_effective() == rendered
 
     def test_experiment_section_round_trips(self, tmp_path):
@@ -210,6 +210,17 @@ class TestEffectiveConfig:
         assert spec.workers == 2
         back = load_config(write(tmp_path, cfg.render_effective(), name="eff.ini"))
         assert back.experiment_spec() == spec
+
+    def test_sweep_keeps_row_caches_that_fit_to_the_byte(self, tmp_path, monkeypatch):
+        text = SMALL_RADAR + (
+            "\n[experiment]\nmode = psr_vs_m\ntarget_counts = 1\n"
+            "measurement_counts = 8,16\nthreads = 2\n"
+        )
+        cfg = load_config(write(tmp_path, text))
+        need = 2 * 16 * 64 * 16  # threads, largest M, N columns, complex128
+        for memory, policy in ((need, "full-row-cache"), (need - 1, "none")):
+            monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
+            assert cfg.experiment_spec().cache_policy == policy
 
     def test_recovery_limits_reach_the_sweep(self, tmp_path):
         text = SMALL_RADAR + (

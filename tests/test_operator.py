@@ -153,6 +153,11 @@ class TestAtomEchoConsistency:
         a = direct.columns(flats)
         b = cached.columns(flats)
         assert np.array_equal(a, b)
+        # the memory rule picks the policy, so products must round alike too
+        rng = np.random.default_rng(4)
+        flat = rng.choice(grid.size, size=5, replace=False)
+        profile = SparseProfile.from_flat(grid, flat, rng.standard_normal(5) + 1j)
+        assert np.array_equal(direct.forward(profile), cached.forward(profile))
 
 
 class TestTiles:

@@ -35,5 +35,6 @@ def test_configuration_keys_section_lists_every_key():
     section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`([a-z0-9_]+)(?:`| = )", section))
     assert {row.key for row in _KEYS} - named == set()
+    assert "cache_policy" not in section  # the memory rule picks the row cache
     for gone in ("wavelength", "chirp_rate", "echo_magnitude_csv"):
         assert gone not in readme
