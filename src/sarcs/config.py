@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .baseline import _hypothesis_on_grid
-from .experiments import MODES, ExperimentSpec, random_scene
+from .experiments import ExperimentSpec, random_scene
 from .model import (
     ExtendedGrid,
     GridCoord,
@@ -62,16 +62,6 @@ def _non_negative(raw: str) -> float:
     return value
 
 
-def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
-    def parse(raw: str) -> str:
-        value = raw.strip()
-        if value not in options:
-            raise ValueError(f"expected one of {', '.join(options)}")
-        return value
-
-    return parse
-
-
 def _snr(raw: str) -> float | None:
     value = float(raw)
     if value == math.inf:
@@ -87,6 +77,11 @@ def _list_of(caster) -> Callable[[str], tuple]:
         return tuple(caster(piece) for piece in items if piece)
 
     return parse
+
+
+def _snr_values(raw: str) -> tuple[float, ...]:
+    # an inf entry stays in the list: it is the sweep's noiseless point
+    return tuple(math.inf if snr is None else snr for snr in _list_of(_snr)(raw))
 
 
 def _counts(raw: str) -> tuple[int, ...]:
@@ -152,7 +147,6 @@ _KEYS = (
     _Key("radar", "range_samples", "nr", _integer, repr, 1213),
     _Key("radar", "azimuth_samples", "na", _integer, repr, 595),
     _Key("radar", "range_window_start", "tau0", float, repr, None),
-    _Key("radar", "propagation_speed", "c", float, repr, 3.0e8),
     _Key("grid", "x_origin", "x0", float, repr, 30000.0 - 7.5),
     _Key("grid", "y_origin", "y0", float, repr, 0.0),
     _Key("grid", "vx_origin", "vx0", float, repr, -10.0),
@@ -180,10 +174,9 @@ _KEYS = (
          RecoveryConfig.stall_tolerance),
     _Key("baseline", "velocity_hypotheses", "hypotheses", _hypotheses, _render_hypotheses,
          ((0.0, 0.0),)),
-    _Key("experiment", "mode", "experiment_mode", _choice(MODES), str, None),
     _Key("experiment", "target_counts", "target_counts", _counts, _render_list, ()),
     _Key("experiment", "measurement_counts", "measurement_counts", _counts, _render_list, ()),
-    _Key("experiment", "snr_values_db", "snr_values_db", _list_of(float), _render_list, ()),
+    _Key("experiment", "snr_values_db", "snr_values_db", _snr_values, _render_list, ()),
     _Key("experiment", "trials_per_point", "trials_per_point", _at_least_one, repr, 1),
     _Key("experiment", "base_seed", "base_seed", _integer, repr, 0),
     _Key("experiment", "threads", "threads", _at_least_one, repr, 1),
@@ -211,7 +204,7 @@ class RunConfig:
     max_iterations: int
     stall_tolerance: float
     hypotheses: tuple[tuple[float, float], ...]
-    experiment_mode: str | None
+    experiment_mode: str | None  # from snr_values_db; None without an [experiment] section
     target_counts: tuple[int, ...]
     measurement_counts: tuple[int, ...]
     snr_values_db: tuple[float, ...]
@@ -231,7 +224,7 @@ class RunConfig:
 
     def experiment_spec(self) -> ExperimentSpec:
         if self.experiment_mode is None:
-            raise ConfigError("[experiment] mode: required for sweep runs")
+            raise ConfigError("[experiment]: section required for sweep runs")
         try:
             return ExperimentSpec(
                 mode=self.experiment_mode,
@@ -334,7 +327,7 @@ def load_config(path) -> RunConfig:
     try:
         grid = ExtendedGrid(**values["grid"])
         if radar["tau0"] is None:
-            radar["tau0"] = 2.0 * grid.x0 / radar["c"]
+            radar["tau0"] = 2.0 * grid.x0 / RadarParams.c
         params = RadarParams(**radar)
         check_simulation_geometry(params, grid)
     except ValueError as exc:
@@ -367,6 +360,9 @@ def load_config(path) -> RunConfig:
             _hypothesis_on_grid(grid, pair)
     except ValueError as exc:
         raise ConfigError(f"[baseline] velocity_hypotheses: {exc}") from exc
+    run["experiment_mode"] = None
+    if cp.has_section("experiment"):
+        run["experiment_mode"] = "psr_vs_snr" if run["snr_values_db"] else "psr_vs_m"
     cfg = RunConfig(params=params, grid=grid, **run)
     if cfg.experiment_mode is not None:
         cfg.experiment_spec()  # checks the [experiment] section at load

@@ -166,9 +166,17 @@ def add_noise(echo: EchoMatrix, snr_db: float, seed: int) -> EchoMatrix:
     """
     if snr_db == math.inf:
         return echo
-    var = noise_variance(echo, snr_db)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    scale = math.sqrt(var / 2.0)
-    shape = echo.samples.shape
-    noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise = _noise(noise_variance(echo, snr_db), seed, echo.samples.shape)
     return EchoMatrix(echo.samples + noise, echo.params)
+
+
+def _noise(variance: float, seed: int, shape: tuple[int, int], at=...) -> np.ndarray:
+    """The noise :func:`add_noise` adds to an echo of ``shape``, kept at ``at``.
+
+    Every normal of the full shape is drawn whatever ``at`` keeps, so a
+    kept sample equals the same entry of the full noise bit for bit.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    real = rng.standard_normal(shape)[at]
+    imag = rng.standard_normal(shape)[at]
+    return math.sqrt(variance / 2.0) * (real + 1j * imag)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import add_noise, noise_variance, scene_echo
+from .echo import _noise, noise_variance, scene_echo
 from .model import ExtendedGrid, RadarParams, Scene, Target, grid_to_physical
 from .operator import (
     SensingOperator,
@@ -135,9 +135,10 @@ def run_trial(
     Noiseless trials evaluate the true echo directly at the selected
     samples (the dictionary atoms and the simulator share one kernel, so
     the restricted scene echo and the forward model agree); noisy trials
-    synthesize the full echo, add noise at the requested SNR, and then
-    subsample. The recovery runs with the true target count and, when the
-    noise level is known, an error threshold of sqrt(M * noise variance).
+    synthesize the full echo, set the noise level from it, and add at the
+    selected samples exactly the noise :func:`add_noise` would. The
+    recovery runs with the true target count and, when the noise level is
+    known, an error threshold of sqrt(M * noise variance).
     """
     k = truth.flat.size
     if k < 1:
@@ -148,10 +149,12 @@ def run_trial(
     if snr_db is None or snr_db == math.inf:
         y = op.forward(truth)
     else:
-        clean = scene_echo(scene, params)
-        variance = noise_variance(clean, snr_db)
-        noisy = add_noise(clean, snr_db, noise_seed)
-        y = noisy.vec()[selection.indices]
+        echo = scene_echo(scene, params)
+        variance = noise_variance(echo, snr_db)
+        shape = echo.samples.shape
+        # entry i of the column-stacked echo is sample (i % nr, i // nr)
+        at = np.unravel_index(selection.indices, shape, order="F")
+        y = echo.samples[at] + _noise(variance, noise_seed, shape, at)
         threshold = math.sqrt(m * variance)
     cfg = RecoveryConfig(
         sparsity=k,
@@ -229,10 +232,12 @@ def psr_sweep(spec: ExperimentSpec) -> list[PsrPoint]:
         for k, m, snr in points
         for trial in range(spec.trials_per_point)
     ]
-    if spec.workers > 1 and len(tasks) > 1:
+    # a forked pool starts all its workers at once, so start no idle ones
+    workers = min(spec.workers, len(tasks))
+    if workers > 1:
         # not multiprocessing.Pool: there a worker that dies (say, killed for
         # memory) leaves map waiting forever; here it raises BrokenProcessPool
-        with ProcessPoolExecutor(spec.workers, initializer=_single_blas_thread) as pool:
+        with ProcessPoolExecutor(workers, initializer=_single_blas_thread) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(task) for task in tasks]

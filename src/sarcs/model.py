@@ -9,6 +9,7 @@ conventions are fixed in exactly one place.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -118,8 +119,8 @@ class Target:
     reflectivity: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "vx", "vy"):
-            _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
+        for name in ("x", "y", "vx", "vy", "reflectivity"):
+            _require(cmath.isfinite(getattr(self, name)), f"{name} must be finite")
 
 
 @dataclass(frozen=True)

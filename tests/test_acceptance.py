@@ -296,7 +296,6 @@ measurements = 24
 selection_seed = 3
 
 [experiment]
-mode = psr_vs_snr
 target_counts = 2
 measurement_counts = 16,24
 snr_values_db = 10,30

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sarcs
+from sarcs.config import load_config
 
 PUBLIC = [
     "EchoMatrix",
@@ -60,8 +61,11 @@ def test_every_export_resolves(name):
 
 def test_benchmark_still_binds_to_the_package(monkeypatch):
     # perfbench/ reads run_trial's recovery defaults, swaps sarcs.cli
-    # attributes by name and passes cache_policy to the library; a rename
-    # there must fail here, not in the benchmark
+    # attributes by name, passes cache_policy to the library and puts the
+    # configs' sweep mode in every seed label; a rename or a new mode there
+    # must fail here, not in the benchmark
+    for name, mode in (("fig3", "psr_vs_m"), ("fig4", "psr_vs_snr")):
+        assert load_config(PERFBENCH.parent / "configs" / f"{name}.ini").experiment_mode == mode
     for target, default in (
         (sarcs.run_trial, "full-row-cache"),
         (sarcs.SensingOperator, "none"),

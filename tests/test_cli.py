@@ -223,7 +223,6 @@ class TestImageMf:
 class TestSweep:
     SWEEP = SMALL_BASE + """
 [experiment]
-mode = psr_vs_m
 target_counts = 1
 measurement_counts = 8,16
 trials_per_point = 2
@@ -378,12 +377,21 @@ class TestErrorPaths:
             ("trials_per_point = 2", "trials_per_point = 0", "[experiment] trials_per_point"),
             ("target_counts = 1\n", "", "[experiment] target_counts"),
             ("measurement_counts = 8,16\n", "", "[experiment] measurement_counts"),
-            ("mode = psr_vs_m", "mode = psr_vs_snr", "[experiment] snr_values_db"),
-            ("mode = psr_vs_m", "mode = fig2", "[experiment] mode"),
+            # the mode follows from snr_values_db, so it is not a key
+            ("trials_per_point", "mode = psr_vs_snr\ntrials_per_point", "[experiment] mode"),
+            ("trials_per_point", "mode = fig2\ntrials_per_point", "[experiment] mode"),
             ("[experiment]", "[baseline]\nvelocity_hypotheses = 0,0 ; 1,0\n\n[experiment]",
              "[baseline] velocity_hypotheses"),
             ("selection_seed = 3", "selection_seed = 3\ncache_policy = full-row-cache",
              "[recovery] cache_policy"),
+            ("range_samples = 104", "range_samples = 104\npropagation_speed = 3e8",
+             "[radar] propagation_speed"),
+            (SCENE_TARGETS, "targets = 2004.0,1.0,0.0,0.0,inf", "[scene] targets"),
+            (SCENE_TARGETS, "targets = 2004.0,1.0,0.0,0.0,1.0,nan", "[scene] targets"),
+            ("trials_per_point", "snr_values_db = 5,nan\ntrials_per_point",
+             "[experiment] snr_values_db"),
+            ("trials_per_point", "snr_values_db = -inf\ntrials_per_point",
+             "[experiment] snr_values_db"),
         ],
         ids=[
             "snr-nan", "snr-minus-inf", "measurements-above-nr-na", "sparsity-0",
@@ -392,6 +400,8 @@ class TestErrorPaths:
             "sparsity-above-cells", "targets-same-cell", "trials-0", "no-target-counts",
             "no-measurement-counts", "snr-sweep-without-snrs", "mode-fig2",
             "hypothesis-off-grid", "cache-policy-is-not-a-key",
+            "propagation-speed-is-not-a-key", "reflectivity-inf", "reflectivity-nan",
+            "snr-values-nan", "snr-values-minus-inf",
         ],
     )
     def test_bad_value_fails_at_load_naming_key(

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -114,12 +115,15 @@ class TestValidation:
             load_config(write(tmp_path, "[radars]\nx = 1\n"))
 
     def test_unknown_key_names_section_and_key(self, tmp_path):
-        # wavelength and chirp_rate follow from the other [radar] keys, so
-        # they are not settings
+        # wavelength and chirp_rate follow from the other [radar] keys, the
+        # propagation speed is a constant and the sweep mode follows from
+        # snr_values_db, so they are not settings
         for section, key in (
             ("radar", "pulsewidth"),
             ("radar", "wavelength"),
             ("radar", "chirp_rate"),
+            ("radar", "propagation_speed"),
+            ("experiment", "mode"),
             ("output", "echo_magnitude_csv"),
         ):
             with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
@@ -132,6 +136,8 @@ class TestValidation:
             ("experiment", "target_counts", "1,x"),
             ("experiment", "measurement_counts", "8;16"),
             ("experiment", "snr_values_db", "5,loud"),
+            ("experiment", "snr_values_db", "5,nan"),
+            ("experiment", "snr_values_db", "-inf"),
             ("baseline", "velocity_hypotheses", "0,0,0"),
             ("recovery", "max_iterations", "0"),
             ("recovery", "residual_threshold", "-1"),
@@ -201,7 +207,7 @@ class TestEffectiveConfig:
 
     def test_experiment_section_round_trips(self, tmp_path):
         text = SMALL_RADAR + (
-            "\n[experiment]\nmode = psr_vs_m\ntarget_counts = 1,2\n"
+            "\n[experiment]\ntarget_counts = 1,2\n"
             "measurement_counts = 8,16\ntrials_per_point = 2\nbase_seed = 11\nthreads = 2\n"
         )
         cfg = load_config(write(tmp_path, text))
@@ -213,7 +219,7 @@ class TestEffectiveConfig:
 
     def test_sweep_keeps_row_caches_that_fit_to_the_byte(self, tmp_path, monkeypatch):
         text = SMALL_RADAR + (
-            "\n[experiment]\nmode = psr_vs_m\ntarget_counts = 1\n"
+            "\n[experiment]\ntarget_counts = 1\n"
             "measurement_counts = 8,16\nthreads = 2\n"
         )
         cfg = load_config(write(tmp_path, text))
@@ -225,12 +231,23 @@ class TestEffectiveConfig:
     def test_recovery_limits_reach_the_sweep(self, tmp_path):
         text = SMALL_RADAR + (
             "\n[recovery]\nmax_iterations = 3\nstall_tolerance = 0.25\n"
-            "\n[experiment]\nmode = psr_vs_m\ntarget_counts = 1\nmeasurement_counts = 8\n"
+            "\n[experiment]\ntarget_counts = 1\nmeasurement_counts = 8\n"
         )
         spec = load_config(write(tmp_path, text)).experiment_spec()
         assert (spec.max_iterations, spec.stall_tolerance) == (3, 0.25)
 
     def test_sweep_without_experiment_section_rejected(self, tmp_path):
         cfg = load_config(write(tmp_path, SMALL_RADAR))
-        with pytest.raises(ConfigError, match="mode"):
+        assert cfg.experiment_mode is None
+        with pytest.raises(ConfigError, match=r"\[experiment\]: section required"):
             cfg.experiment_spec()
+
+    def test_snr_values_pick_the_sweep_mode(self, tmp_path):
+        counts = "\n[experiment]\ntarget_counts = 1\nmeasurement_counts = 8\n"
+        cfg = load_config(write(tmp_path, SMALL_RADAR + counts))
+        assert cfg.experiment_spec().mode == "psr_vs_m"
+        # inf stays in the list as the noiseless point
+        cfg = load_config(write(tmp_path, SMALL_RADAR + counts + "snr_values_db = 5,inf\n"))
+        spec = cfg.experiment_spec()
+        assert (spec.mode, spec.snr_values_db) == ("psr_vs_snr", (5.0, math.inf))
+        assert "snr_values_db = 5.0,inf\n" in cfg.render_effective()

@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from sarcs import experiments, operator
+from sarcs.echo import add_noise, noise_variance, scene_echo
 from sarcs.experiments import (
     ExperimentSpec,
     TrialResult,
@@ -16,6 +18,7 @@ from sarcs.experiments import (
     run_trial,
 )
 from sarcs.model import flat_index, grid_to_physical
+from sarcs.operator import select_measurements
 
 
 def _openblas_threads() -> list[int]:
@@ -110,6 +113,26 @@ class TestRunTrial:
         a = run_trial(scene, truth, params, m=20, snr_db=10.0, selection_seed=9, noise_seed=3)
         b = run_trial(scene, truth, params, m=20, snr_db=10.0, selection_seed=9, noise_seed=3)
         assert a == b
+
+    def test_noisy_samples_are_add_noise_samples_bit_for_bit(self, params, grid, monkeypatch):
+        # the trial draws its noise only at the kept samples; they and the
+        # threshold must be what the full add_noise echo gives there
+        seen = []
+
+        def capture(op, y, cfg):
+            seen.append((y, cfg.residual_threshold))
+            raise np.linalg.LinAlgError("captured")
+
+        monkeypatch.setattr(experiments, "cosamp", capture)
+        m = 24
+        for seed, snr in enumerate((-5.0, 5.0, 20.0, 0.5)):
+            scene, truth = random_scene(2, grid, seed=seed)
+            run_trial(scene, truth, params, m, snr, selection_seed=seed, noise_seed=100 + seed)
+            clean = scene_echo(scene, params)
+            indices = select_measurements(m, params.nr * params.na, seed).indices
+            y, threshold = seen[-1]
+            assert y.tobytes() == add_noise(clean, snr, 100 + seed).vec()[indices].tobytes()
+            assert threshold == math.sqrt(m * noise_variance(clean, snr))
 
     def test_zero_measurements_rejected(self, params, grid):
         scene, truth = random_scene(1, grid, seed=5)
@@ -208,6 +231,36 @@ class TestPsrSweep:
             trials_per_point=4, workers=2,
         )
         assert psr_sweep(spec)[0].successes == 4
+
+    def test_starts_no_more_workers_than_tasks(self, params, grid, monkeypatch):
+        started = []
+
+        class InlinePool:
+            """Records the pool size and runs the tasks in this process."""
+
+            def __init__(self, max_workers, initializer=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments, "_run_task", lambda task: TrialResult(True, 0.0, 1, ""))
+        for trials, pools in ((2, [2]), (1, []), (6, [4])):
+            started.clear()
+            spec = ExperimentSpec(
+                mode="psr_vs_m", params=params, grid=grid,
+                target_counts=(1,), measurement_counts=(8,),
+                trials_per_point=trials, workers=4,
+            )
+            assert psr_sweep(spec)[0].successes == trials
+            assert started == pools
 
     def test_dead_worker_fails_the_sweep_instead_of_hanging(self, params, grid, monkeypatch):
         monkeypatch.setattr(experiments, "_run_task", _task_killing_its_worker)

@@ -36,5 +36,8 @@ def test_configuration_keys_section_lists_every_key():
     named = set(re.findall(r"`([a-z0-9_]+)(?:`| = )", section))
     assert {row.key for row in _KEYS} - named == set()
     assert "cache_policy" not in section  # the memory rule picks the row cache
+    # the constant c and the mode snr_values_db picks are not keys
+    for derived in ("propagation_speed", "`mode`"):
+        assert derived not in section
     for gone in ("wavelength", "chirp_rate", "echo_magnitude_csv"):
         assert gone not in readme
