@@ -122,7 +122,9 @@ def cmd_image_mf(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> l
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[str]:
-    spec = cfg.experiment_spec()
+    spec = cfg.experiment
+    if spec is None:
+        raise ConfigError("[experiment]: section required for sweep runs")
     points = psr_sweep(spec)
     _prepare_output(cfg, out_dir)
     storage.write_psr_csv(

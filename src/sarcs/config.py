@@ -13,11 +13,11 @@ defaults and the effective-config rendering.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .baseline import _hypothesis_on_grid
+from .echo import _noiseless
 from .experiments import ExperimentSpec, random_scene
 from .model import (
     ExtendedGrid,
@@ -64,11 +64,7 @@ def _non_negative(raw: str) -> float:
 
 def _snr(raw: str) -> float | None:
     value = float(raw)
-    if value == math.inf:
-        return None  # noiseless
-    if not math.isfinite(value):
-        raise ValueError("must be finite, or inf for no noise")
-    return value
+    return None if _noiseless(value) else value
 
 
 def _list_of(caster) -> Callable[[str], tuple]:
@@ -77,11 +73,6 @@ def _list_of(caster) -> Callable[[str], tuple]:
         return tuple(caster(piece) for piece in items if piece)
 
     return parse
-
-
-def _snr_values(raw: str) -> tuple[float, ...]:
-    # an inf entry stays in the list: it is the sweep's noiseless point
-    return tuple(math.inf if snr is None else snr for snr in _list_of(_snr)(raw))
 
 
 def _counts(raw: str) -> tuple[int, ...]:
@@ -131,7 +122,8 @@ def _render_hypotheses(pairs) -> str:
 class _Key(NamedTuple):
     section: str
     key: str
-    field: str  # RadarParams for [radar], ExtendedGrid for [grid], else RunConfig
+    field: str  # RadarParams for [radar], ExtendedGrid for [grid],
+    # ExperimentSpec for [experiment], else RunConfig
     parse: Callable[[str], Any]
     render: Callable[[Any], str]
     default: Any  # None: absent (or derived, for range_window_start and sparsity)
@@ -176,10 +168,11 @@ _KEYS = (
          ((0.0, 0.0),)),
     _Key("experiment", "target_counts", "target_counts", _counts, _render_list, ()),
     _Key("experiment", "measurement_counts", "measurement_counts", _counts, _render_list, ()),
-    _Key("experiment", "snr_values_db", "snr_values_db", _snr_values, _render_list, ()),
+    # an inf entry stays in the list: it is the sweep's noiseless point
+    _Key("experiment", "snr_values_db", "snr_values_db", _list_of(float), _render_list, ()),
     _Key("experiment", "trials_per_point", "trials_per_point", _at_least_one, repr, 1),
     _Key("experiment", "base_seed", "base_seed", _integer, repr, 0),
-    _Key("experiment", "threads", "threads", _at_least_one, repr, 1),
+    _Key("experiment", "threads", "workers", _at_least_one, repr, 1),
     _Key("output", "directory", "output_dir", str.strip, str, "out"),
 )
 
@@ -204,14 +197,12 @@ class RunConfig:
     max_iterations: int
     stall_tolerance: float
     hypotheses: tuple[tuple[float, float], ...]
-    experiment_mode: str | None  # from snr_values_db; None without an [experiment] section
-    target_counts: tuple[int, ...]
-    measurement_counts: tuple[int, ...]
-    snr_values_db: tuple[float, ...]
-    trials_per_point: int
-    base_seed: int
-    threads: int
+    experiment: ExperimentSpec | None  # None without an [experiment] section
     output_dir: str
+
+    @property
+    def experiment_mode(self) -> str | None:
+        return None if self.experiment is None else self.experiment.mode
 
     def build_scene(self) -> tuple[Scene, SparseProfile | None]:
         """Materialize the configured scene and, when possible, its
@@ -222,29 +213,6 @@ class RunConfig:
         truth = _truth_profile(scene, self.grid)
         return scene, truth
 
-    def experiment_spec(self) -> ExperimentSpec:
-        if self.experiment_mode is None:
-            raise ConfigError("[experiment]: section required for sweep runs")
-        try:
-            return ExperimentSpec(
-                mode=self.experiment_mode,
-                params=self.params,
-                grid=self.grid,
-                target_counts=self.target_counts,
-                measurement_counts=self.measurement_counts,
-                snr_values_db=self.snr_values_db,
-                trials_per_point=self.trials_per_point,
-                base_seed=self.base_seed,
-                cache_policy=_fitting_cache_policy(
-                    max(self.measurement_counts, default=0), self.grid.size, self.threads
-                ),
-                workers=self.threads,
-                max_iterations=self.max_iterations,
-                stall_tolerance=self.stall_tolerance,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[experiment] {exc}") from exc
-
     def _rendered_value(self, row: _Key):
         """The value ``row`` renders, or None when the key is left out."""
         if row.key == "targets":
@@ -254,14 +222,14 @@ class RunConfig:
             return None
         if row.key == "noise_seed" and self.snr_db is None:
             return None
-        owner = {"radar": self.params, "grid": self.grid}.get(row.section, self)
-        return getattr(owner, row.field)
+        owners = {"radar": self.params, "grid": self.grid, "experiment": self.experiment}
+        return getattr(owners.get(row.section, self), row.field)
 
     def render_effective(self) -> str:
         """The fully resolved configuration, suitable for re-running."""
         blocks = []
         for section, rows in _SECTIONS.items():
-            if section == "experiment" and self.experiment_mode is None:
+            if section == "experiment" and self.experiment is None:
                 continue
             lines = [f"[{section}]"]
             for row in rows:
@@ -296,9 +264,9 @@ def load_config(path) -> RunConfig:
     # '#' only: ';' separates list entries (targets, velocity hypotheses)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     for section in cp.sections():
@@ -309,7 +277,7 @@ def load_config(path) -> RunConfig:
             if key not in known:
                 raise ConfigError(f"[{section}] {key}: unknown key")
 
-    values: dict[str, dict[str, Any]] = {"radar": {}, "grid": {}, "run": {}}
+    values: dict[str, dict[str, Any]] = {"radar": {}, "grid": {}, "experiment": {}, "run": {}}
     for row in _KEYS:
         value = row.default
         if cp.has_option(row.section, row.key):
@@ -320,10 +288,10 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(
                     f"[{row.section}] {row.key}: invalid value {raw!r}: {exc}"
                 ) from exc
-        group = row.section if row.section in ("radar", "grid") else "run"
+        group = row.section if row.section in values else "run"
         values[group][row.field] = value
 
-    radar, run = values["radar"], values["run"]
+    radar, sweep, run = values["radar"], values["experiment"], values["run"]
     try:
         grid = ExtendedGrid(**values["grid"])
         if radar["tau0"] is None:
@@ -338,8 +306,8 @@ def load_config(path) -> RunConfig:
     cells = (grid.size, f"the nx * ny * nvx * nvy = {grid.size} grid cells")
     for key, counts, (limit, what) in (
         ("[recovery] measurements", (run["measurements"],), samples),
-        ("[experiment] measurement_counts", run["measurement_counts"], samples),
-        ("[experiment] target_counts", run["target_counts"], cells),
+        ("[experiment] measurement_counts", sweep["measurement_counts"], samples),
+        ("[experiment] target_counts", sweep["target_counts"], cells),
         ("[scene] random_targets", (run["random_k"] or 0,), cells),
         ("[recovery] sparsity", (run["sparsity"] or 0,), cells),
     ):
@@ -360,10 +328,20 @@ def load_config(path) -> RunConfig:
             _hypothesis_on_grid(grid, pair)
     except ValueError as exc:
         raise ConfigError(f"[baseline] velocity_hypotheses: {exc}") from exc
-    run["experiment_mode"] = None
+    experiment = None
     if cp.has_section("experiment"):
-        run["experiment_mode"] = "psr_vs_snr" if run["snr_values_db"] else "psr_vs_m"
-    cfg = RunConfig(params=params, grid=grid, **run)
-    if cfg.experiment_mode is not None:
-        cfg.experiment_spec()  # checks the [experiment] section at load
-    return cfg
+        try:
+            experiment = ExperimentSpec(
+                mode="psr_vs_snr" if sweep["snr_values_db"] else "psr_vs_m",
+                params=params,
+                grid=grid,
+                cache_policy=_fitting_cache_policy(
+                    max(sweep["measurement_counts"], default=0), grid.size, sweep["workers"]
+                ),
+                max_iterations=run["max_iterations"],
+                stall_tolerance=run["stall_tolerance"],
+                **sweep,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[experiment] {exc}") from exc
+    return RunConfig(params=params, grid=grid, experiment=experiment, **run)

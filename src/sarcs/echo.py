@@ -158,13 +158,22 @@ def noise_variance(echo: EchoMatrix, snr_db: float) -> float:
     return float(np.mean(mags[support] ** 2)) * 10.0 ** (-snr_db / 10.0)
 
 
+def _noiseless(snr_db: float, name: str = "snr_db") -> bool:
+    """The SNR rule: finite, or +inf (True) for no noise; else a ValueError naming ``name``."""
+    if snr_db == math.inf:
+        return True
+    if not math.isfinite(snr_db):
+        raise ValueError(f"{name}: must be finite, or inf for no noise, got {snr_db!r}")
+    return False
+
+
 def add_noise(echo: EchoMatrix, snr_db: float, seed: int) -> EchoMatrix:
     """Add circular complex white Gaussian noise at the requested SNR.
 
     Deterministic per seed (counter-based Philox generator). Passing
     ``snr_db = math.inf`` returns the input unchanged.
     """
-    if snr_db == math.inf:
+    if _noiseless(snr_db):
         return echo
     noise = _noise(noise_variance(echo, snr_db), seed, echo.samples.shape)
     return EchoMatrix(echo.samples + noise, echo.params)

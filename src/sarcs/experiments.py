@@ -14,12 +14,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import _noise, noise_variance, scene_echo
+from .echo import _noise, _noiseless, noise_variance, scene_echo
 from .model import ExtendedGrid, RadarParams, Scene, Target, grid_to_physical
 from .operator import (
     SensingOperator,
@@ -76,6 +77,10 @@ class ExperimentSpec:
             raise ValueError("trials_per_point: need at least one trial per point")
         if self.workers < 1:
             raise ValueError("workers: need at least one worker")
+        for snr in self.snr_values_db:
+            _noiseless(snr, "snr_values_db")
+        if self.mode == "psr_vs_m" and self.snr_values_db:
+            raise ValueError("snr_values_db: psr_vs_m takes no SNR values")
         for name in ("target_counts", "measurement_counts"):
             if not getattr(self, name):
                 raise ValueError(f"{name}: {self.mode} needs target and measurement counts")
@@ -143,10 +148,11 @@ def run_trial(
     k = truth.flat.size
     if k < 1:
         raise ValueError("trial needs at least one target")
+    noiseless = snr_db is None or _noiseless(snr_db)
     selection = select_measurements(m, params.nr * params.na, selection_seed)
     op = SensingOperator(params, truth.grid, selection, cache_policy)
     threshold = None
-    if snr_db is None or snr_db == math.inf:
+    if noiseless:
         y = op.forward(truth)
     else:
         echo = scene_echo(scene, params)
@@ -223,7 +229,8 @@ def _run_task(task: tuple) -> TrialResult:
 
 def psr_sweep(spec: ExperimentSpec) -> list[PsrPoint]:
     """Run every sweep point and aggregate successes into PSR values."""
-    snrs = [float(snr) for snr in spec.snr_values_db] if spec.mode == "psr_vs_snr" else [None]
+    # psr_vs_m has no SNR values: its one point per (k, m) is noiseless
+    snrs = [float(snr) for snr in spec.snr_values_db] or [None]
     points = [
         (k, m, snr) for k in spec.target_counts for m in spec.measurement_counts for snr in snrs
     ]
@@ -232,8 +239,10 @@ def psr_sweep(spec: ExperimentSpec) -> list[PsrPoint]:
         for k, m, snr in points
         for trial in range(spec.trials_per_point)
     ]
-    # a forked pool starts all its workers at once, so start no idle ones
-    workers = min(spec.workers, len(tasks))
+    # a forked pool starts all its workers at once, so start no idle ones,
+    # and no more than the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(spec.workers, len(tasks), cpus or 1)
     if workers > 1:
         # not multiprocessing.Pool: there a worker that dies (say, killed for
         # memory) leaves map waiting forever; here it raises BrokenProcessPool

@@ -148,7 +148,7 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     ----------
     op
         Sensing operator exposing ``adjoint``, ``columns``,
-        ``column_norms``, ``n_cols``, and ``grid``.
+        ``column_norms`` and ``grid``.
     y
         Complex measurement vector (the selected echo samples).
     cfg

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -72,6 +73,18 @@ def test_benchmark_still_binds_to_the_package(monkeypatch):
         (sarcs.ExperimentSpec, "full-row-cache"),
     ):
         assert inspect.signature(target).parameters["cache_policy"].default == default
+    # perfbench/record_reference.py builds its ExperimentSpec by keyword
+    script = ast.parse((PERFBENCH / "record_reference.py").read_text())
+    [call] = [
+        node for node in ast.walk(script)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExperimentSpec"
+    ]
+    keywords = {keyword.arg for keyword in call.keywords}
+    assert keywords == {
+        "mode", "params", "grid", "target_counts", "measurement_counts", "snr_values_db",
+        "base_seed", "cache_policy",
+    }
+    inspect.signature(sarcs.ExperimentSpec).bind(**dict.fromkeys(keywords))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("workload", PERFBENCH / "workload.py")

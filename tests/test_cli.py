@@ -264,9 +264,11 @@ threads = 1
         ]
         assert rows_one == rows_two
 
-    def test_sweep_without_experiment_is_config_error(self, tmp_path):
+    def test_sweep_without_experiment_is_config_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL_BASE, "nope")
         assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert "[experiment]: section required" in capsys.readouterr().err
+        assert not (tmp_path / "nope").exists()
 
     def test_recovery_limits_reach_every_trial(self, tmp_path, monkeypatch):
         seen = []
@@ -289,7 +291,7 @@ threads = 1
         monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 32 * 1024 - 1)
         sweep = self.SWEEP.replace("threads = 1", "threads = 2")
         cfg_two = write_config(tmp_path, sweep, "big", name="two.ini")
-        assert load_config(cfg_two).experiment_spec().cache_policy == "none"
+        assert load_config(cfg_two).experiment.cache_policy == "none"
         assert main(["sweep", "--config", str(cfg_two)]) == 0
         rows = [
             [line for line in (tmp_path / out / "psr.csv").read_text().splitlines()
@@ -302,6 +304,13 @@ threads = 1
 class TestErrorPaths:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 2
+
+    def test_config_not_utf8_is_config_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[output]\ndirectory = caf\xe9\n")
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: 'utf-8' codec can't decode byte 0xe9" in err
 
     def test_unknown_key_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -211,43 +211,45 @@ class TestEffectiveConfig:
             "measurement_counts = 8,16\ntrials_per_point = 2\nbase_seed = 11\nthreads = 2\n"
         )
         cfg = load_config(write(tmp_path, text))
-        spec = cfg.experiment_spec()
+        spec = cfg.experiment
         assert spec.target_counts == (1, 2)
         assert spec.workers == 2
         back = load_config(write(tmp_path, cfg.render_effective(), name="eff.ini"))
-        assert back.experiment_spec() == spec
+        assert back.experiment == spec
 
     def test_sweep_keeps_row_caches_that_fit_to_the_byte(self, tmp_path, monkeypatch):
         text = SMALL_RADAR + (
             "\n[experiment]\ntarget_counts = 1\n"
             "measurement_counts = 8,16\nthreads = 2\n"
         )
-        cfg = load_config(write(tmp_path, text))
+        path = write(tmp_path, text)
         need = 2 * 16 * 64 * 16  # threads, largest M, N columns, complex128
         for memory, policy in ((need, "full-row-cache"), (need - 1, "none")):
+            # the spec, and with it the cache policy, is built as the config loads
             monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
-            assert cfg.experiment_spec().cache_policy == policy
+            assert load_config(path).experiment.cache_policy == policy
 
     def test_recovery_limits_reach_the_sweep(self, tmp_path):
         text = SMALL_RADAR + (
             "\n[recovery]\nmax_iterations = 3\nstall_tolerance = 0.25\n"
             "\n[experiment]\ntarget_counts = 1\nmeasurement_counts = 8\n"
         )
-        spec = load_config(write(tmp_path, text)).experiment_spec()
+        spec = load_config(write(tmp_path, text)).experiment
         assert (spec.max_iterations, spec.stall_tolerance) == (3, 0.25)
 
     def test_sweep_without_experiment_section_rejected(self, tmp_path):
+        # cmd_sweep refuses the run; test_cli covers that exit
         cfg = load_config(write(tmp_path, SMALL_RADAR))
+        assert cfg.experiment is None
         assert cfg.experiment_mode is None
-        with pytest.raises(ConfigError, match=r"\[experiment\]: section required"):
-            cfg.experiment_spec()
+        assert "[experiment]" not in cfg.render_effective()
 
     def test_snr_values_pick_the_sweep_mode(self, tmp_path):
         counts = "\n[experiment]\ntarget_counts = 1\nmeasurement_counts = 8\n"
         cfg = load_config(write(tmp_path, SMALL_RADAR + counts))
-        assert cfg.experiment_spec().mode == "psr_vs_m"
+        assert cfg.experiment.mode == "psr_vs_m"
         # inf stays in the list as the noiseless point
         cfg = load_config(write(tmp_path, SMALL_RADAR + counts + "snr_values_db = 5,inf\n"))
-        spec = cfg.experiment_spec()
+        spec = cfg.experiment
         assert (spec.mode, spec.snr_values_db) == ("psr_vs_snr", (5.0, math.inf))
         assert "snr_values_db = 5.0,inf\n" in cfg.render_effective()

@@ -153,6 +153,12 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="identically zero"):
             add_noise(echo, 10.0, seed=1)
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_non_finite_snr_rejected_naming_it(self, params, snr):
+        echo = point_echo(Target(2000.0, 0.0, 0.0, 0.0), params)
+        with pytest.raises(ValueError, match="snr_db: must be finite, or inf"):
+            add_noise(echo, snr, seed=1)
+
     def test_empirical_snr_at_scale(self, full_params):
         echo = point_echo(Target(30000.0, 0.0, 0.0, 0.0), full_params)
         support = np.abs(echo.samples) > 0

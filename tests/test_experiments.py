@@ -134,6 +134,12 @@ class TestRunTrial:
             assert y.tobytes() == add_noise(clean, snr, 100 + seed).vec()[indices].tobytes()
             assert threshold == math.sqrt(m * noise_variance(clean, snr))
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_non_finite_snr_rejected_naming_it(self, params, grid, snr):
+        scene, truth = random_scene(1, grid, seed=5)
+        with pytest.raises(ValueError, match="snr_db: must be finite, or inf"):
+            run_trial(scene, truth, params, m=16, snr_db=snr, selection_seed=5)
+
     def test_zero_measurements_rejected(self, params, grid):
         scene, truth = random_scene(1, grid, seed=5)
         with pytest.raises(ValueError):
@@ -161,6 +167,30 @@ class TestExperimentSpec:
                 mode="psr_vs_snr", params=params, grid=grid,
                 target_counts=(1,), measurement_counts=(10,),
             )
+
+    def test_noiseless_sweep_takes_no_snr_values(self, params, grid):
+        # psr_sweep would run such a spec noiseless and report snr_db = None
+        with pytest.raises(ValueError, match="snr_values_db: psr_vs_m takes no SNR values"):
+            ExperimentSpec(
+                mode="psr_vs_m", params=params, grid=grid,
+                target_counts=(1,), measurement_counts=(10,), snr_values_db=(5.0,),
+            )
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_non_finite_snr_rejected_before_the_counts(self, params, grid, snr):
+        # no counts are given: the SNR is still the field named
+        with pytest.raises(ValueError, match="snr_values_db: must be finite, or inf"):
+            ExperimentSpec(
+                mode="psr_vs_snr", params=params, grid=grid, snr_values_db=(5.0, snr)
+            )
+
+    def test_infinite_snr_is_the_noiseless_point(self, params, grid):
+        spec = ExperimentSpec(
+            mode="psr_vs_snr", params=params, grid=grid,
+            target_counts=(1,), measurement_counts=(16,), snr_values_db=(math.inf,),
+        )
+        [point] = psr_sweep(spec)
+        assert (point.snr_db, point.successes) == (math.inf, 1)
 
     def test_unknown_mode_rejected(self, params, grid):
         for mode in ("fig5", "fig2"):
@@ -252,7 +282,8 @@ class TestPsrSweep:
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(experiments, "_run_task", lambda task: TrialResult(True, 0.0, 1, ""))
-        for trials, pools in ((2, [2]), (1, []), (6, [4])):
+
+        def pools_started(trials):
             started.clear()
             spec = ExperimentSpec(
                 mode="psr_vs_m", params=params, grid=grid,
@@ -260,7 +291,18 @@ class TestPsrSweep:
                 trials_per_point=trials, workers=4,
             )
             assert psr_sweep(spec)[0].successes == trials
-            assert started == pools
+            return started
+
+        # the pool is capped by the tasks, the workers and the CPUs this
+        # process may run on, here a patched CPU set
+        for cpus, trials, pools in ((8, 2, [2]), (8, 1, []), (8, 6, [4]), (3, 6, [3]), (1, 6, [])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert pools_started(trials) == pools
+        # without an affinity call, the machine's CPU count caps it
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for count, pools in ((3, [3]), (None, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert pools_started(6) == pools
 
     def test_dead_worker_fails_the_sweep_instead_of_hanging(self, params, grid, monkeypatch):
         monkeypatch.setattr(experiments, "_run_task", _task_killing_its_worker)
