@@ -13,7 +13,7 @@ defaults and the effective-config rendering.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple
 
 from .baseline import _hypothesis_on_grid
@@ -335,13 +335,16 @@ def load_config(path) -> RunConfig:
                 mode="psr_vs_snr" if sweep["snr_values_db"] else "psr_vs_m",
                 params=params,
                 grid=grid,
-                cache_policy=_fitting_cache_policy(
-                    max(sweep["measurement_counts"], default=0), grid.size, sweep["workers"]
-                ),
+                cache_policy="none",
                 max_iterations=run["max_iterations"],
                 stall_tolerance=run["stall_tolerance"],
                 **sweep,
             )
+            # the memory rule, for one row cache per worker the sweep starts
+            policy = _fitting_cache_policy(
+                max(experiment.measurement_counts), grid.size, experiment.pool_workers
+            )
+            experiment = replace(experiment, cache_policy=policy)
         except ValueError as exc:
             raise ConfigError(f"[experiment] {exc}") from exc
     return RunConfig(params=params, grid=grid, experiment=experiment, **run)

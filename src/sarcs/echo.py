@@ -87,7 +87,8 @@ def unit_echo_samples(params: RadarParams, x, y, vx, vy, tau, eta) -> np.ndarray
     azimuth gate.
     """
     r = instantaneous_range(x, y, vx, vy, eta, params.v)
-    return _samples_at_range(params, r, tau, _azimuth_gate(params, y, vy, eta))
+    u, mask = _envelope(params, r, tau, _azimuth_gate(params, y, vy, eta))
+    return _samples(params, r, u, mask)
 
 
 def _azimuth_gate(params: RadarParams, y, vy, eta):
@@ -96,16 +97,25 @@ def _azimuth_gate(params: RadarParams, y, vy, eta):
     return np.abs(eta - eta_c) <= 0.5 * params.aperture_time
 
 
-def _samples_at_range(params: RadarParams, r, tau, gate) -> np.ndarray:
-    """Samples at exact range r and fast time tau, zeroed outside the range
-    envelope and outside ``gate``. The sensing operator calls this with
-    separably built r and gate, so everything after r is one code path."""
+def _envelope(params: RadarParams, r, tau, gate) -> tuple[np.ndarray, np.ndarray]:
+    """Delayed fast time u = tau - 2r/c and the mask of samples inside the
+    range envelope and ``gate``. Every sample's zero pattern comes from this
+    mask, so the sensing operator counts a column's nonzero entries from it
+    without evaluating the samples."""
     u = np.asarray(tau - (2.0 / params.c) * r, dtype=np.float64)
-    # u's shape always contains the gate's shape, so the in-place mask and
-    # phase updates below broadcast safely.
+    # u's shape always contains the gate's shape, so the in-place mask
+    # updates broadcast safely.
     mask = u >= 0.0
     mask &= u < params.tp
     mask &= gate
+    return u, mask
+
+
+def _samples(params: RadarParams, r, u, mask) -> np.ndarray:
+    """Samples cos + j sin of the chirp and carrier phase at exact range r and
+    delayed fast time u, zeroed outside ``mask`` (u and mask from
+    :func:`_envelope`). The sensing operator calls this with separably built
+    r, so everything after r is one code path."""
     phase = (np.pi * params.kr) * u
     phase *= u
     phase -= (4.0 * np.pi * params.f0 / params.c) * r

@@ -87,7 +87,16 @@ class ExperimentSpec:
         if self.mode == "psr_vs_snr" and not self.snr_values_db:
             raise ValueError("snr_values_db: psr_vs_snr needs a list of SNR values")
         if self.cache_policy == "full-row-cache":
-            _check_row_caches_fit(max(self.measurement_counts), self.grid.size, self.workers)
+            _check_row_caches_fit(max(self.measurement_counts), self.grid.size, self.pool_workers)
+
+    @property
+    def pool_workers(self) -> int:
+        """Worker processes :func:`psr_sweep` starts, each with its own row cache:
+        ``workers``, but no idle ones (a forked pool starts all of its workers
+        at once) and no more than the CPUs this process may run on."""
+        points = len(self.target_counts) * len(self.measurement_counts)
+        tasks = points * max(1, len(self.snr_values_db)) * self.trials_per_point
+        return min(self.workers, tasks, _usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,11 @@ def run_trial(
     return TrialResult(rel < SUCCESS_THRESHOLD, rel, diag.iterations, diag.halt_reason)
 
 
+def _usable_cpus() -> int:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def _single_blas_thread() -> None:
     """Sweep worker initializer: run each loaded OpenBLAS on one thread.
 
@@ -239,10 +253,7 @@ def psr_sweep(spec: ExperimentSpec) -> list[PsrPoint]:
         for k, m, snr in points
         for trial in range(spec.trials_per_point)
     ]
-    # a forked pool starts all its workers at once, so start no idle ones,
-    # and no more than the CPUs this process may run on
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(spec.workers, len(tasks), cpus or 1)
+    workers = spec.pool_workers
     if workers > 1:
         # not multiprocessing.Pool: there a worker that dies (say, killed for
         # memory) leaves map waiting forever; here it raises BrokenProcessPool

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import _azimuth_gate, _samples_at_range
+from .echo import _azimuth_gate, _envelope, _samples
 from .model import ExtendedGrid, RadarParams, check_simulation_geometry
 
 __all__ = [
@@ -163,14 +163,11 @@ class SensingOperator:
     def n_cols(self) -> int:
         return self.grid.size
 
-    def _blocks(self):
-        """Consecutive column blocks as (start, stop, M-by-B block): the whole
-        row cache once it exists, else tiles of whole (p, q) velocity pairs,
-        whose range r is a broadcast sum of the separable tables. Callers
-        ``del`` each block before the next is built, so only one is alive."""
-        if self._cache is not None:
-            yield 0, self.n_cols, self._cache
-            return
+    def _tiles(self):
+        """Consecutive tiles of whole (p, q) velocity pairs as (start, stop, r,
+        u, mask): the range r, a broadcast sum of the separable tables, and its
+        :func:`_envelope`, each M x pairs x ny x nx, so columns start..stop are
+        the last three axes flattened."""
         grid = self.grid
         cells = grid.nx * grid.ny
         pairs = grid.nvx * grid.nvy
@@ -180,16 +177,29 @@ class SensingOperator:
             pq = np.arange(first, min(first + step, pairs))
             ps, qs = pq % grid.nvx, pq // grid.nvx
             r = np.sqrt(self._xr2[:, ps, None, :] + self._yr2[:, qs, :, None])
-            tile = _samples_at_range(self.params, r, tau, self._gate[:, qs, :, None])
-            yield first * cells, (pq[-1] + 1) * cells, tile.reshape(self.n_rows, -1)
+            u, mask = _envelope(self.params, r, tau, self._gate[:, qs, :, None])
+            yield first * cells, (pq[-1] + 1) * cells, r, u, mask
+
+    def _blocks(self):
+        """Consecutive column blocks as (start, stop, M-by-B block): the whole
+        row cache once it exists, else the samples of each tile. Callers
+        ``del`` each block before the next is built, so only one is alive."""
+        if self._cache is not None:
+            yield 0, self.n_cols, self._cache
+            return
+        for start, stop, r, u, mask in self._tiles():
+            yield start, stop, _samples(self.params, r, u, mask).reshape(self.n_rows, -1)
 
     def _ensure_cache(self) -> None:
+        """Build the row cache, and the column norms from the same tiles' masks."""
         if self.cache_policy == "full-row-cache" and self._cache is None:
             cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex128)
-            for start, stop, block in self._blocks():
-                cache[:, start:stop] = block
-                del block
+            counts = np.empty(self.n_cols)
+            for start, stop, r, u, mask in self._tiles():
+                counts[start:stop] = mask.sum(axis=0).reshape(-1)
+                cache[:, start:stop] = _samples(self.params, r, u, mask).reshape(self.n_rows, -1)
             self._cache = cache
+            self._norms = np.sqrt(counts, out=counts)
 
     def columns(self, flat: np.ndarray) -> np.ndarray:
         """Explicit M-by-K restricted columns for the given flat indices."""
@@ -202,7 +212,8 @@ class SensingOperator:
         grid = self.grid
         q, p, n2, n1 = np.unravel_index(flat, (grid.nvy, grid.nvx, grid.ny, grid.nx))
         r = np.sqrt(self._xr2[:, p, n1] + self._yr2[:, q, n2])
-        atoms = _samples_at_range(self.params, r, self._tau, self._gate[:, q, n2])
+        u, mask = _envelope(self.params, r, self._tau, self._gate[:, q, n2])
+        atoms = _samples(self.params, r, u, mask)
         return np.asfortranarray(atoms)  # as a cache slice is, so products round alike
 
     def forward(self, profile) -> np.ndarray:
@@ -229,15 +240,17 @@ class SensingOperator:
         return out
 
     def column_norms(self) -> np.ndarray:
-        """l2 norm of every restricted column; zero marks unseen atoms."""
+        """l2 norm of every restricted column; zero marks unseen atoms.
+
+        Every unmasked entry is cos + j sin of one phase, so a norm is the
+        square root of the column's count of unmasked entries. The row-cache
+        build records the counts; a streaming operator counts them in one
+        pass over the tiles' envelope masks, with no trig.
+        """
+        self._ensure_cache()
         if self._norms is None:
-            self._ensure_cache()
-            norms_sq = np.empty(self.n_cols)
-            for start, stop, block in self._blocks():
-                # out= keeps one N-vector temporary alive beside norms_sq
-                part = norms_sq[start:stop]
-                np.einsum("ij,ij->j", block.real, block.real, out=part)
-                part += np.einsum("ij,ij->j", block.imag, block.imag)
-                del block
-            self._norms = np.sqrt(norms_sq, out=norms_sq)
+            counts = np.empty(self.n_cols)
+            for start, stop, _, _, mask in self._tiles():
+                counts[start:stop] = mask.sum(axis=0).reshape(-1)
+            self._norms = np.sqrt(counts, out=counts)
         return self._norms

@@ -5,9 +5,11 @@ pursuit: form a signal proxy from the operator adjoint, identify the 2k
 strongest candidate cells, merge with the current support, least-squares
 fit on the merged support, prune to the k largest coefficients, and
 update the residual. The proxy is normalized per column because the
-random row restriction leaves the restricted columns with unequal norms;
-the returned coefficients are plain reflectivities (normalization never
-touches the fitted values).
+random row restriction leaves the restricted columns with unequal norms:
+a norm is the square root of the column's count of samples inside its
+envelopes, since every such entry is cos + j sin of one phase. The norms
+only rank candidates; the returned coefficients are plain reflectivities
+(normalization never touches the fitted values).
 """
 
 from __future__ import annotations

@@ -289,6 +289,7 @@ threads = 1
         cfg_one = write_config(tmp_path, self.SWEEP, "sw1", name="one.ini")
         assert main(["sweep", "--config", str(cfg_one)]) == 0
         monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 32 * 1024 - 1)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         sweep = self.SWEEP.replace("threads = 1", "threads = 2")
         cfg_two = write_config(tmp_path, sweep, "big", name="two.ini")
         assert load_config(cfg_two).experiment.cache_policy == "none"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sarcs import operator
+from sarcs import experiments, operator
 from sarcs.config import ConfigError, load_config
 from sarcs.model import GridCoord
 
@@ -223,11 +223,24 @@ class TestEffectiveConfig:
             "measurement_counts = 8,16\nthreads = 2\n"
         )
         path = write(tmp_path, text)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         need = 2 * 16 * 64 * 16  # threads, largest M, N columns, complex128
         for memory, policy in ((need, "full-row-cache"), (need - 1, "none")):
             # the spec, and with it the cache policy, is built as the config loads
             monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
             assert load_config(path).experiment.cache_policy == policy
+
+    def test_row_caches_are_sized_for_the_workers_the_sweep_starts(self, tmp_path, monkeypatch):
+        # smoke's sweep has 3 trials: with 8 threads on 2 CPUs it starts 2 workers
+        smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
+        text = smoke.read_text().replace("threads = 1", "threads = 8")
+        path = write(tmp_path, text)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        need = 2 * 24 * 64 * 16  # workers, largest M, N columns, complex128
+        for memory, policy in ((need, "full-row-cache"), (need - 1, "none")):
+            monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
+            spec = load_config(path).experiment
+            assert (spec.workers, spec.pool_workers, spec.cache_policy) == (8, 2, policy)
 
     def test_recovery_limits_reach_the_sweep(self, tmp_path):
         text = SMALL_RADAR + (

@@ -209,8 +209,9 @@ class TestExperimentSpec:
     def test_row_caches_of_whole_pool_must_fit_memory(self, params, grid, monkeypatch):
         kwargs = dict(
             mode="psr_vs_m", params=params, grid=grid,
-            target_counts=(1,), measurement_counts=(8, 16),
+            target_counts=(1,), measurement_counts=(8, 16), trials_per_point=2,
         )
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
         need = 16 * grid.size * 16 * 3  # largest M, N columns, complex128, 3 workers
         monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need)
         ExperimentSpec(workers=3, **kwargs)

@@ -63,6 +63,20 @@ def test_uncached_columns_equal_cache_bit_for_bit(grid, m, seed, data):
 
 
 @quick
+@given(grid=grids, m=st.integers(1, 120), seed=seeds, data=st.data())
+def test_column_norms_are_square_roots_of_nonzero_counts(grid, m, seed, data):
+    pairs = data.draw(st.integers(1, grid.nvx * grid.nvy), label="pairs per tile")
+    sel = select_measurements(m, TOTAL, seed)
+    with mock.patch.object(operator, "_BLOCK_ELEMENTS", pairs * m * grid.nx * grid.ny):
+        cached = SensingOperator(PARAMS, grid, sel, "full-row-cache")
+        direct = SensingOperator(PARAMS, grid, sel, "none")
+        norms = {policy: op.column_norms() for policy, op in zip(POLICIES, (direct, cached))}
+    counts = np.count_nonzero(direct.columns(np.arange(grid.size)), axis=0)
+    assert np.array_equal(norms["none"], np.sqrt(counts))
+    assert np.array_equal(norms["full-row-cache"], norms["none"])
+
+
+@quick
 @given(grid=grids, m=st.integers(1, 40), seed=seeds, policy=st.sampled_from(POLICIES))
 def test_adjoint_identity(grid, m, seed, policy):
     op = SensingOperator(PARAMS, grid, select_measurements(m, TOTAL, seed), policy)
