@@ -5,7 +5,10 @@ of a unit-reflectivity target at that cell, with matrix entry (m, n)
 stacked to flat position m + nr * n. The full matrix (nr*na rows by
 nx*ny*nvx*nvy columns, ~1.3 TB at production scale) is never formed;
 only its restriction to M randomly selected sample rows is evaluated,
-either on the fly in column blocks or into an optional M-by-N cache.
+exactly and on the fly in column tiles. Where the memory rule allows, an
+M-by-N complex64 search cache (8 * M * N bytes) also holds every entry to
+within ``_SEARCH_ENTRY_ERROR``; it only ranks candidates for CoSaMP, so
+every product and atom the operator returns otherwise stays exact.
 """
 
 from __future__ import annotations
@@ -29,21 +32,27 @@ __all__ = [
 # (~0.5 MB each) stay in cache. A tile holds at least one (p, q) pair.
 _BLOCK_ELEMENTS = 65_536
 
+# Bound on |search-cache entry - exact atom entry|. An entry's phase is
+# reduced to [-pi, pi] in float64, so rounding it to float32 moves it by at
+# most half an ulp at pi, 2**-23 ~ 1.2e-7 rad; float32 cos and sin add about
+# one ulp of a value below 1, 6e-8 each. The production grid measures 2.0e-7.
+_SEARCH_ENTRY_ERROR = 5e-7
+
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _fitting_cache_policy(rows: int, cols: int, caches: int = 1) -> str:
-    """The memory rule: cache when ``caches`` M-by-N complex128 row caches fit in RAM."""
-    return "full-row-cache" if caches * rows * cols * 16 <= _physical_memory_bytes() else "none"
+    """The memory rule: cache when ``caches`` M-by-N complex64 search caches fit in RAM."""
+    return "full-row-cache" if caches * rows * cols * 8 <= _physical_memory_bytes() else "none"
 
 
 def _check_row_caches_fit(rows: int, cols: int, caches: int = 1) -> None:
     """Refuse a "full-row-cache" that breaks the memory rule; one per sweep worker."""
     if _fitting_cache_policy(rows, cols, caches) == "none":
         raise ValueError(
-            f"{caches} full-row-cache(s) of {rows} x {cols} complex128 entries exceed the "
+            f"{caches} full-row-cache(s) of {rows} x {cols} complex64 entries exceed the "
             f"{_physical_memory_bytes() / 1e9:.1f} GB of physical memory; use cache_policy='none'"
         )
 
@@ -114,9 +123,11 @@ class SensingOperator:
     selection
         Flat sample indices (into the column-stacked echo vector).
     cache_policy
-        "none" evaluates atoms on the fly in column blocks;
-        "full-row-cache" materializes the M-by-N restricted matrix once
-        and reuses it across iterations (16 * M * N bytes).
+        "none" evaluates atoms on the fly in column tiles;
+        "full-row-cache" also builds the M-by-N restricted matrix once in
+        complex64 (8 * M * N bytes), for ``adjoint(..., search=True)`` to
+        rank candidates from. ``columns``, ``forward`` and the default
+        ``adjoint`` are exact float64 under either policy.
     """
 
     def __init__(
@@ -180,41 +191,41 @@ class SensingOperator:
             u, mask = _envelope(self.params, r, tau, self._gate[:, qs, :, None])
             yield first * cells, (pq[-1] + 1) * cells, r, u, mask
 
-    def _blocks(self):
-        """Consecutive column blocks as (start, stop, M-by-B block): the whole
-        row cache once it exists, else the samples of each tile. Callers
-        ``del`` each block before the next is built, so only one is alive."""
-        if self._cache is not None:
-            yield 0, self.n_cols, self._cache
-            return
-        for start, stop, r, u, mask in self._tiles():
-            yield start, stop, _samples(self.params, r, u, mask).reshape(self.n_rows, -1)
-
     def _ensure_cache(self) -> None:
-        """Build the row cache, and the column norms from the same tiles' masks."""
+        """Build the complex64 search cache, and the column norms from the
+        same tiles' masks, so its zero pattern is the exact atoms'. The phase
+        is taken in float64 turns and reduced to one turn before float32
+        cos/sin; see ``_SEARCH_ENTRY_ERROR``."""
         if self.cache_policy == "full-row-cache" and self._cache is None:
-            cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex128)
+            params = self.params
+            cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex64)
             counts = np.empty(self.n_cols)
             for start, stop, r, u, mask in self._tiles():
                 counts[start:stop] = mask.sum(axis=0).reshape(-1)
-                cache[:, start:stop] = _samples(self.params, r, u, mask).reshape(self.n_rows, -1)
+                turns = (0.5 * params.kr) * u
+                turns *= u
+                turns -= (2.0 * params.f0 / params.c) * r
+                turns -= np.rint(turns)
+                turns *= 2.0 * np.pi
+                angle = turns.astype(np.float32).reshape(self.n_rows, -1)
+                block = cache[:, start:stop]
+                np.cos(angle, out=block.real)
+                np.sin(angle, out=block.imag)
+                np.copyto(block, 0.0, where=np.logical_not(mask.reshape(self.n_rows, -1)))
             self._cache = cache
             self._norms = np.sqrt(counts, out=counts)
 
     def columns(self, flat: np.ndarray) -> np.ndarray:
-        """Explicit M-by-K restricted columns for the given flat indices."""
+        """Explicit M-by-K restricted columns for the given flat indices,
+        gathered exactly from the separable tables, in Fortran order."""
         flat = np.asarray(flat, dtype=np.int64)
         if flat.size and (flat.min() < 0 or flat.max() >= self.n_cols):
             raise ValueError(f"column index outside [0, {self.n_cols})")
-        self._ensure_cache()
-        if self._cache is not None:
-            return self._cache[:, flat]
         grid = self.grid
         q, p, n2, n1 = np.unravel_index(flat, (grid.nvy, grid.nvx, grid.ny, grid.nx))
         r = np.sqrt(self._xr2[:, p, n1] + self._yr2[:, q, n2])
         u, mask = _envelope(self.params, r, self._tau, self._gate[:, q, n2])
-        atoms = _samples(self.params, r, u, mask)
-        return np.asfortranarray(atoms)  # as a cache slice is, so products round alike
+        return np.asfortranarray(_samples(self.params, r, u, mask))
 
     def forward(self, profile) -> np.ndarray:
         """Apply the restricted dictionary to a :class:`SparseProfile`:
@@ -225,15 +236,26 @@ class SensingOperator:
             return np.zeros(self.n_rows, dtype=np.complex128)
         return self.columns(profile.flat) @ profile.coefficients
 
-    def adjoint(self, residual: np.ndarray) -> np.ndarray:
-        """Conjugate-transpose product: out[g] = sum_i conj(atom_g[i]) r[i]."""
+    def adjoint(self, residual: np.ndarray, search: bool = False) -> np.ndarray:
+        """Conjugate-transpose product: out[g] = sum_i conj(atom_g[i]) r[i].
+
+        Exact complex128, one tile of atoms at a time. ``search=True`` asks
+        only for a proxy to rank columns by: once the "full-row-cache"
+        policy has built the search cache, it answers from there in
+        complex64; a streaming operator answers exactly.
+        """
         residual = np.asarray(residual, dtype=np.complex128)
         if residual.shape != (self.n_rows,):
             raise ValueError(f"residual must have shape ({self.n_rows},)")
         r_conj = residual.conj()
-        self._ensure_cache()
+        if search:
+            self._ensure_cache()
+            if self._cache is not None:
+                out = r_conj.astype(np.complex64) @ self._cache
+                return np.conj(out, out=out)
         out = np.empty(self.n_cols, dtype=np.complex128)
-        for start, stop, block in self._blocks():
+        for start, stop, r, u, mask in self._tiles():
+            block = _samples(self.params, r, u, mask).reshape(self.n_rows, -1)
             # out= keeps one product temporary alive, not two
             np.conj(r_conj @ block, out=out[start:stop])
             del block
@@ -243,8 +265,8 @@ class SensingOperator:
         """l2 norm of every restricted column; zero marks unseen atoms.
 
         Every unmasked entry is cos + j sin of one phase, so a norm is the
-        square root of the column's count of unmasked entries. The row-cache
-        build records the counts; a streaming operator counts them in one
+        square root of the column's count of unmasked entries. The search
+        cache build records the counts; a streaming operator counts them in one
         pass over the tiles' envelope masks, with no trig.
         """
         self._ensure_cache()

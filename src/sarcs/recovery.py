@@ -10,6 +10,15 @@ a norm is the square root of the column's count of samples inside its
 envelopes, since every such entry is cos + j sin of one phase. The norms
 only rank candidates; the returned coefficients are plain reflectivities
 (normalization never touches the fitted values).
+
+Two precisions. The proxy only ranks, so where the operator keeps a
+complex64 search cache it may come from there; every fit, residual and
+returned number uses exact float64 atoms. The complex64 proxy is within a
+known bound of the exact one for every column, which gives each column a
+band of possible exact scores. Only the few columns whose band reaches the
+2k-th largest lower bound can be in the exact top 2k; they are rescored
+from exact atoms, so the candidates are the ones the exact proxy ranks
+first, and a streaming operator (exact proxy) ranks as it always has.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import ExtendedGrid, GridCoord, flat_index, unflatten
+from .operator import _SEARCH_ENTRY_ERROR
 
 __all__ = [
     "RecoveryConfig",
@@ -143,14 +153,45 @@ def _largest(values: np.ndarray, count: int) -> np.ndarray:
     return np.union1d(ahead, ties)
 
 
+def _candidates(op, residual: np.ndarray, visible: np.ndarray, inv_norms: np.ndarray,
+                count: int) -> np.ndarray:
+    """The ``count`` visible columns that :func:`_largest` ranks first by the
+    exact normalized proxy |A^H r| / norm, found from ``op``'s search proxy.
+
+    A complex64 proxy differs from the exact one, in every column, by at
+    most the cache's entry bound plus the float32 rounding of r and of the
+    product, (M + 2) eps32, each per unit of ||r||_1 over the column norm.
+    A column whose score plus that slack stays below the ``count``-th
+    largest score minus slack has ``count`` columns above it; the rest, the
+    band, are rescored from exact atoms.
+    """
+    proxy = op.adjoint(residual, search=True)
+    scores = np.abs(proxy[visible] * inv_norms[visible])
+    # a zero residual scores every column 0 exactly, in either precision
+    if proxy.dtype != np.complex64 or not residual.any():
+        return visible[_largest(scores, count)]
+    eps32 = float(np.finfo(np.float32).eps)
+    r_l1 = float(np.abs(residual).sum())
+    slack = (_SEARCH_ENTRY_ERROR + (residual.size + 2) * eps32) * r_l1 * inv_norms[visible]
+    band = visible
+    if count < visible.size:
+        low = scores - slack
+        floor = np.partition(low, low.size - count)[low.size - count]
+        band = visible[scores + slack >= floor]
+    # C order, like the streamed tiles' blocks, so BLAS mostly sums these
+    # products in the order it sums theirs
+    exact = np.abs((residual.conj() @ np.ascontiguousarray(op.columns(band))) * inv_norms[band])
+    return band[_largest(exact, count)]
+
+
 def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     """Run compressive sampling matching pursuit against a sensing operator.
 
     Parameters
     ----------
     op
-        Sensing operator exposing ``adjoint``, ``columns``,
-        ``column_norms`` and ``grid``.
+        Sensing operator exposing ``adjoint`` (with its ``search``
+        keyword), ``columns``, ``column_norms`` and ``grid``.
     y
         Complex measurement vector (the selected echo samples).
     cfg
@@ -166,6 +207,8 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("measurement vector must be 1-D and non-empty")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurement vector must be finite")
     k = cfg.sparsity
     norms = op.column_norms()
     visible = np.flatnonzero(norms > 0)
@@ -194,8 +237,7 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     iteration = 0
     while not halt:
         iteration += 1
-        proxy = op.adjoint(residual) * inv_norms
-        candidates = visible[_largest(np.abs(proxy[visible]), 2 * k)]
+        candidates = _candidates(op, residual, visible, inv_norms, 2 * k)
         merged = np.union1d(support, candidates)
         merged_cols = op.columns(merged)
         fit, dropped = _lstsq_drop_dependent(merged_cols, y)

@@ -100,3 +100,28 @@ def test_benchmark_still_binds_to_the_package(monkeypatch):
             pass
     finally:
         sys.modules.pop("spans", None)  # perfbench's, imported by workload
+
+
+def test_benchmark_traced_operator_runs_cosamp_as_the_operator(monkeypatch, params, grid):
+    # perfbench's traced sweeps hand cosamp a spans.TracedOperator, which
+    # forwards only adjoint, columns, column_norms and forward; a ranking
+    # call it cannot pass on must fail here, not in the benchmark
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        spans = importlib.import_module("spans")
+        selection = sarcs.select_measurements(24, params.nr * params.na, seed=1)
+        truth = sarcs.SparseProfile.from_flat(grid, [3, 40], [1.0, 0.5 - 1.0j])
+        plain = sarcs.SensingOperator(params, grid, selection, "full-row-cache")
+        traced = spans.TracedOperator(
+            sarcs.SensingOperator(params, grid, selection, "full-row-cache"), spans.Tracer()
+        )
+        y = plain.forward(truth)
+        cfg = sarcs.RecoveryConfig(sparsity=2)
+        profile, diag = sarcs.cosamp(plain, y, cfg)
+        traced_profile, traced_diag = sarcs.cosamp(traced, y, cfg)
+    finally:
+        sys.modules.pop("spans", None)
+    assert traced_profile.flat.tobytes() == profile.flat.tobytes()
+    assert traced_profile.coefficients.tobytes() == profile.coefficients.tobytes()
+    assert traced_diag == diag

@@ -169,7 +169,7 @@ class TestImageCs:
         assert code == 1
 
     def test_row_cache_beyond_physical_memory_streams(self, tmp_path, simulated, monkeypatch):
-        # the 24-row cache of the 64-column grid needs exactly 24 KiB
+        # the 24-row search cache of the 64-column grid needs exactly 12 KiB
         cfg_path, sim = simulated
         policies = []
         real = cli.SensingOperator
@@ -179,7 +179,7 @@ class TestImageCs:
             return real(*args)
 
         monkeypatch.setattr(cli, "SensingOperator", recording)
-        for name, memory in (("cached", 24 * 1024), ("streamed", 24 * 1024 - 1)):
+        for name, memory in (("cached", 12 * 1024), ("streamed", 12 * 1024 - 1)):
             monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
             assert main([
                 "image-cs", "--config", str(cfg_path), "--echo", str(sim / "echo.bin"),
@@ -285,10 +285,10 @@ threads = 1
         assert seen == [(1, 0.5)] * 4
 
     def test_pool_beyond_physical_memory_streams(self, tmp_path, monkeypatch):
-        # two workers with 16-row caches of the 64-column grid need 32 KiB
+        # two workers with 16-row search caches of the 64-column grid need 16 KiB
         cfg_one = write_config(tmp_path, self.SWEEP, "sw1", name="one.ini")
         assert main(["sweep", "--config", str(cfg_one)]) == 0
-        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 32 * 1024 - 1)
+        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 16 * 1024 - 1)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         sweep = self.SWEEP.replace("threads = 1", "threads = 2")
         cfg_two = write_config(tmp_path, sweep, "big", name="two.ini")

@@ -224,7 +224,7 @@ class TestEffectiveConfig:
         )
         path = write(tmp_path, text)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-        need = 2 * 16 * 64 * 16  # threads, largest M, N columns, complex128
+        need = 2 * 16 * 64 * 8  # threads, largest M, N columns, complex64
         for memory, policy in ((need, "full-row-cache"), (need - 1, "none")):
             # the spec, and with it the cache policy, is built as the config loads
             monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
@@ -236,7 +236,7 @@ class TestEffectiveConfig:
         text = smoke.read_text().replace("threads = 1", "threads = 8")
         path = write(tmp_path, text)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-        need = 2 * 24 * 64 * 16  # workers, largest M, N columns, complex128
+        need = 2 * 24 * 64 * 8  # workers, largest M, N columns, complex64
         for memory, policy in ((need, "full-row-cache"), (need - 1, "none")):
             monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
             spec = load_config(path).experiment

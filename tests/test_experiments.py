@@ -212,7 +212,7 @@ class TestExperimentSpec:
             target_counts=(1,), measurement_counts=(8, 16), trials_per_point=2,
         )
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
-        need = 16 * grid.size * 16 * 3  # largest M, N columns, complex128, 3 workers
+        need = 16 * grid.size * 8 * 3  # largest M, N columns, complex64, 3 workers
         monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need)
         ExperimentSpec(workers=3, **kwargs)
         ExperimentSpec(workers=4, cache_policy="none", **kwargs)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sarcs import operator
+from sarcs import baseline, operator
 from sarcs.echo import point_echo
 from sarcs.model import GridCoord, Target, flat_index, grid_to_physical, unflatten
 from sarcs.operator import (
@@ -82,7 +82,7 @@ class TestOperatorConstruction:
 
     def test_row_cache_must_fit_physical_memory(self, params, grid, monkeypatch):
         sel = select_measurements(8, params.nr * params.na, seed=0)
-        need = 8 * grid.size * 16  # M rows, N columns, complex128
+        need = 8 * grid.size * 8  # M rows, N columns, complex64
         monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need)
         SensingOperator(params, grid, sel, cache_policy="full-row-cache")
         monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need - 1)
@@ -95,6 +95,7 @@ class TestOperatorConstruction:
         op = SensingOperator(params, grid, sel, cache_policy="none")
         op.column_norms()
         op.adjoint(np.ones(8, dtype=complex))
+        assert op.adjoint(np.ones(8, dtype=complex), search=True).dtype == np.complex128
         assert op._cache is None
 
     @pytest.mark.parametrize("policy", ["none", "full-row-cache"])
@@ -105,8 +106,11 @@ class TestOperatorConstruction:
             with pytest.raises(ValueError, match="outside"):
                 op.columns(np.array(bad))
         assert op.columns(np.empty(0, dtype=np.int64)).shape == (8, 0)
-        assert (op._cache is not None) == (policy == "full-row-cache")
         assert op.columns([grid.size - 1]).shape == (8, 1)
+        # exact atoms come from the tables; only the norms or a search build the cache
+        assert op._cache is None
+        op.column_norms()
+        assert (op._cache is not None) == (policy == "full-row-cache")
 
 
 class TestAtomSample:
@@ -161,9 +165,10 @@ class TestAtomEchoConsistency:
 
 
 class TestTiles:
-    """The cache is built from separable (p, q) tiles, ``columns`` on the
-    uncached operator gathers single atoms from the same tables; both must
-    equal the simulator bit for bit whatever the tile size."""
+    """The search cache is built from separable (p, q) tiles and must stay
+    within its entry bound of the atoms; ``columns`` gathers single atoms
+    from the same tables under either policy, and they must equal the
+    simulator bit for bit, whatever the tile size."""
 
     @pytest.fixture
     def tile_grid(self, grid):
@@ -197,8 +202,69 @@ class TestTiles:
         rng = np.random.default_rng(pairs)
         residual = rng.standard_normal(sel.m) + 1j * rng.standard_normal(sel.m)
         # BLAS may reorder the sums when tile boundaries move, so not bitwise
-        assert np.allclose(direct.adjoint(residual), cached.adjoint(residual), rtol=1e-13, atol=0)
+        exact = direct.adjoint(residual)
+        assert np.allclose(exact, cached.adjoint(residual), rtol=1e-13, atol=0)
         assert np.array_equal(direct.column_norms(), cached.column_norms())
+        # the bound cosamp's band rests on: entry error plus float32 rounding
+        search = cached.adjoint(residual, search=True)
+        assert search.dtype == np.complex64
+        eps32 = float(np.finfo(np.float32).eps)
+        bound = (operator._SEARCH_ENTRY_ERROR + (sel.m + 2) * eps32) * np.abs(residual).sum()
+        assert np.abs(search - exact).max() <= bound
+
+    @pytest.mark.parametrize("pairs", [1, 3, 6])
+    def test_search_cache_within_entry_bound(self, params, tile_grid, monkeypatch, pairs):
+        _, cached, direct = self.tile_operators(params, tile_grid, monkeypatch, pairs)
+        cached.column_norms()  # builds the search cache under the patched tile size
+        exact = direct.columns(np.arange(tile_grid.size))
+        assert cached._cache.dtype == np.complex64
+        assert np.array_equal(cached._cache == 0, exact == 0)
+        assert np.abs(cached._cache - exact).max() <= operator._SEARCH_ENTRY_ERROR
+
+
+class TestSearchCache:
+    @pytest.mark.parametrize("m", [20, 100])
+    def test_production_grid_entries_within_bound(self, full_params, full_grid, m):
+        sel = select_measurements(m, full_params.nr * full_params.na, seed=m)
+        cached = SensingOperator(full_params, full_grid, sel, cache_policy="full-row-cache")
+        cached.column_norms()
+        direct = SensingOperator(full_params, full_grid, sel, cache_policy="none")
+        for start in range(0, full_grid.size, 16_384):
+            flats = np.arange(start, min(start + 16_384, full_grid.size))
+            exact = direct.columns(flats)
+            search = cached._cache[:, flats]
+            assert np.array_equal(search == 0, exact == 0)
+            assert np.abs(search - exact).max() <= operator._SEARCH_ENTRY_ERROR
+
+
+class TestEnvelopeUpperEdge:
+    """The range envelope is half open, 0 <= u < tp: a sample whose delayed
+    fast time is exactly tp is zero in the atoms, the search cache and the
+    echo, and outside the matched filter's window."""
+
+    def test_sample_at_tp_is_outside(self, params, grid):
+        # tp on a multiple of 2**-69, the float spacing of the delays, so
+        # tau_100 - tp is a float, and a static cell at x = 2000 + 1 ulp has
+        # it for its delay: fl(tau_100 - 2r/c) == tp at eta = 0
+        params = dataclasses.replace(params, tp=math.ldexp(round(math.ldexp(params.tp, 69)), -69))
+        grid = dataclasses.replace(grid, x0=math.nextafter(2000.0, math.inf))
+        coord = GridCoord(0, 0, 1, 1)
+        x, y, vx, vy = grid_to_physical(coord, grid)
+        assert (y, vx, vy) == (0.0, 0.0, 0.0)
+        m, n = 100, params.na // 2
+        tau = params.fast_times()
+        d = (2.0 / params.c) * x
+        assert tau[m] - d == params.tp and params.slow_times()[n] == 0.0
+        rows = np.array([m - 1, m]) + params.nr * n
+        op = SensingOperator(params, grid, MeasurementSelection(rows, seed=0), "full-row-cache")
+        flat = flat_index(coord, grid)
+        op.column_norms()
+        for samples in (op.columns([flat])[:, 0], op._cache[:, flat]):
+            assert samples[0] != 0 and samples[1] == 0
+        echo = point_echo(Target(x, y, vx, vy), params).samples[:, n]
+        assert echo[m - 1] != 0 and echo[m] == 0
+        lo, hi = baseline._window(tau, np.array([d]), params.tp)
+        assert hi[0] == m and lo[0] < m
 
 
 class TestForward:
@@ -322,10 +388,10 @@ class TestColumnNorms:
         sel = select_measurements(16, params.nr * params.na, seed=2)
         streamed = SensingOperator(params, grid, sel, cache_policy="none")
         streamed.column_norms()
-        assert calls  # the patch reaches the operator
+        tiles = len(calls)
+        assert tiles  # the patch reaches the operator
         cached = SensingOperator(params, grid, sel, cache_policy="full-row-cache")
-        cached.columns(np.empty(0, dtype=np.int64))
-        built = len(calls)
-        assert built > 1
+        cached.adjoint(np.ones(16, dtype=complex), search=True)
+        assert len(calls) == 2 * tiles  # the build, one envelope per tile
         assert np.array_equal(cached.column_norms(), streamed.column_norms())
-        assert len(calls) == built
+        assert len(calls) == 2 * tiles

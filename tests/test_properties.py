@@ -14,7 +14,7 @@ from sarcs import operator, storage
 from sarcs.echo import EchoMatrix
 from sarcs.model import GridCoord, flat_index, unflatten
 from sarcs.operator import SensingOperator, select_measurements
-from sarcs.recovery import RecoveryConfig, SparseProfile, _largest, cosamp
+from sarcs.recovery import RecoveryConfig, SparseProfile, _candidates, _largest, cosamp
 
 from conftest import small_radar, small_search_grid
 
@@ -74,6 +74,30 @@ def test_column_norms_are_square_roots_of_nonzero_counts(grid, m, seed, data):
     counts = np.count_nonzero(direct.columns(np.arange(grid.size)), axis=0)
     assert np.array_equal(norms["none"], np.sqrt(counts))
     assert np.array_equal(norms["full-row-cache"], norms["none"])
+
+
+@settings(quick, max_examples=60)
+@given(grid=grids, m=st.integers(1, 60), seed=seeds, count=st.integers(1, 8))
+def test_band_candidates_equal_exact_ranking(grid, m, seed, count):
+    sel = select_measurements(m, TOTAL, seed)
+    cached = SensingOperator(PARAMS, grid, sel, "full-row-cache")
+    direct = SensingOperator(PARAMS, grid, sel, "none")
+    norms = direct.column_norms()
+    visible = np.flatnonzero(norms > 0)
+    assume(visible.size)
+    inv_norms = np.zeros_like(norms)
+    inv_norms[visible] = 1.0 / norms[visible]
+    residual = complex_normal(np.random.default_rng(seed), m)
+    exact = np.zeros(grid.size)
+    exact[visible] = np.abs(direct.adjoint(residual)[visible] * inv_norms[visible])
+    expected = visible[_largest(exact[visible], count)]
+    assert np.array_equal(_candidates(direct, residual, visible, inv_norms, count), expected)
+    # Columns seen by one sample, or by the same samples alike, tie exactly;
+    # rounding in the last bit orders them, and the band's exact products
+    # and the tiles' may round apart. The candidates must agree up to those ties.
+    got = _candidates(cached, residual, visible, inv_norms, count)
+    assert got.size == expected.size
+    assert np.allclose(np.sort(exact[got]), np.sort(exact[expected]), rtol=1e-12, atol=0)
 
 
 @quick

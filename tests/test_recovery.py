@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from sarcs import operator
 from sarcs.echo import point_echo
 from sarcs.model import GridCoord, Target, flat_index, grid_to_physical, unflatten
 from sarcs.operator import SensingOperator, select_measurements
-from sarcs.recovery import RecoveryConfig, SparseProfile, cosamp, relative_error
+from sarcs.recovery import RecoveryConfig, SparseProfile, _candidates, cosamp, relative_error
 
 
 def dense(profile):
@@ -132,6 +133,49 @@ class TestExhaustiveOracle:
         assert matches == problems
 
 
+class AtomsOperator:
+    """Explicit exact atoms, and search atoms for the complex64 proxy that a
+    search cache gives: their product with the complex64 residual."""
+
+    def __init__(self, atoms, search):
+        self.atoms = atoms
+        self.search = search
+
+    def columns(self, flat):
+        return np.asfortranarray(self.atoms[:, flat])
+
+    def adjoint(self, residual, search=False):
+        if search:
+            return np.conj(residual.conj().astype(np.complex64) @ self.search)
+        return np.conj(residual.conj() @ self.atoms)
+
+
+class TestCandidateBand:
+    # complex64 ties columns 1 and 2; then an entry error within the bound
+    # puts column 1 strictly ahead
+    @pytest.mark.parametrize("raise_column_1", [0, 3])
+    def test_near_tie_below_float32_is_ranked_by_exact_atoms(self, raise_column_1):
+        atoms = np.exp(2j * np.pi * np.random.default_rng(4).random((4, 6)))
+        # column 2 is column 1 with one entry turned by 1e-9 rad, a turn
+        # complex64 cannot hold, and the exact proxy ranks it first
+        atoms[:, 2] = atoms[:, 1]
+        atoms[3, 2] *= np.exp(-1e-9j)
+        search = atoms.astype(np.complex64)
+        assert np.array_equal(search[:, 1], search[:, 2])
+        search[:, 1] *= np.float32(1.0) + raise_column_1 * np.finfo(np.float32).eps
+        assert np.abs(search - atoms).max() <= operator._SEARCH_ENTRY_ERROR
+        residual = 3.0 * atoms[:, 0] + atoms[:, 1]
+        exact = np.abs(residual.conj() @ atoms)
+        assert list(np.argsort(-exact)[:3]) == [0, 2, 1]
+        assert 0 < exact[2] - exact[1] < 1e-9
+        op = AtomsOperator(atoms, search)
+        proxy = np.abs(op.adjoint(residual, search=True))
+        assert proxy[1] >= proxy[2] and (proxy[1] > proxy[2]) == bool(raise_column_1)
+        visible = np.arange(6)
+        inv_norms = np.full(6, 0.5)  # four unit entries per column
+        assert list(_candidates(op, residual, visible, inv_norms, 2)) == [0, 2]
+
+
 class TestRelativeError:
     def test_equal_profiles_have_zero_error(self, grid):
         truth = SparseProfile(((GridCoord(0, 0, 0, 0), 1.0),), grid)
@@ -250,3 +294,10 @@ class TestCosampContracts:
             op, y, RecoveryConfig(sparsity=2, residual_threshold=0.0, stall_tolerance=0.9)
         )
         assert diag.halt_reason == "stalled"
+
+    def test_non_finite_measurement_rejected(self, params, grid):
+        op = make_operator(params, grid, 8, seed=0, policy="full-row-cache")
+        y = np.ones(8, dtype=complex)
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            cosamp(op, y, RecoveryConfig(sparsity=1))
