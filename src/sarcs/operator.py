@@ -5,10 +5,11 @@ of a unit-reflectivity target at that cell, with matrix entry (m, n)
 stacked to flat position m + nr * n. The full matrix (nr*na rows by
 nx*ny*nvx*nvy columns, ~1.3 TB at production scale) is never formed;
 only its restriction to M randomly selected sample rows is evaluated,
-exactly and on the fly in column tiles. Where the memory rule allows, an
-M-by-N complex64 search cache (8 * M * N bytes) also holds every entry to
-within ``_SEARCH_ENTRY_ERROR``; it only ranks candidates for CoSaMP, so
-every product and atom the operator returns otherwise stays exact.
+exactly and on the fly in column tiles. CoSaMP ranks candidates from
+complex64 search entries, each within ``_SEARCH_ENTRY_ERROR`` of the exact
+one: held in an M-by-N search cache (8 * M * N bytes) where the memory rule
+allows, else streamed in the same tiles. They only rank, so every product
+and atom the operator returns otherwise stays exact.
 """
 
 from __future__ import annotations
@@ -123,11 +124,12 @@ class SensingOperator:
     selection
         Flat sample indices (into the column-stacked echo vector).
     cache_policy
-        "none" evaluates atoms on the fly in column tiles;
-        "full-row-cache" also builds the M-by-N restricted matrix once in
-        complex64 (8 * M * N bytes), for ``adjoint(..., search=True)`` to
-        rank candidates from. ``columns``, ``forward`` and the default
-        ``adjoint`` are exact float64 under either policy.
+        "none" evaluates atoms and search entries on the fly in column
+        tiles; "full-row-cache" builds the complex64 search entries once as
+        an M-by-N matrix (8 * M * N bytes). Either way
+        ``adjoint(..., search=True)`` ranks from the same complex64 entries,
+        and ``columns``, ``forward`` and the default ``adjoint`` are exact
+        float64.
     """
 
     def __init__(
@@ -191,27 +193,38 @@ class SensingOperator:
             u, mask = _envelope(self.params, r, tau, self._gate[:, qs, :, None])
             yield first * cells, (pq[-1] + 1) * cells, r, u, mask
 
+    def _search_blocks(self, cache: np.ndarray | None = None, counts: np.ndarray | None = None):
+        """Complex64 search entries, tile by tile, as (start, stop, block): the
+        entries of columns start..stop, written into ``cache[:, start:stop]``
+        when a cache is given. ``counts``, when given, receives each column's
+        count of unmasked entries from the same masks, so the zero pattern is
+        the exact atoms'. The phase is taken in float64 turns and reduced to
+        one turn before float32 cos/sin; see ``_SEARCH_ENTRY_ERROR``."""
+        params = self.params
+        for start, stop, r, u, mask in self._tiles():
+            mask = mask.reshape(self.n_rows, -1)
+            if counts is not None:
+                counts[start:stop] = mask.sum(axis=0)
+            turns = (0.5 * params.kr) * u
+            turns *= u
+            turns -= (2.0 * params.f0 / params.c) * r
+            turns -= np.rint(turns)
+            turns *= 2.0 * np.pi
+            angle = turns.astype(np.float32).reshape(self.n_rows, -1)
+            block = np.empty(angle.shape, np.complex64) if cache is None else cache[:, start:stop]
+            np.cos(angle, out=block.real)
+            np.sin(angle, out=block.imag)
+            np.copyto(block, 0.0, where=np.logical_not(mask))
+            yield start, stop, block
+
     def _ensure_cache(self) -> None:
         """Build the complex64 search cache, and the column norms from the
-        same tiles' masks, so its zero pattern is the exact atoms'. The phase
-        is taken in float64 turns and reduced to one turn before float32
-        cos/sin; see ``_SEARCH_ENTRY_ERROR``."""
+        same tiles' masks."""
         if self.cache_policy == "full-row-cache" and self._cache is None:
-            params = self.params
             cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex64)
             counts = np.empty(self.n_cols)
-            for start, stop, r, u, mask in self._tiles():
-                counts[start:stop] = mask.sum(axis=0).reshape(-1)
-                turns = (0.5 * params.kr) * u
-                turns *= u
-                turns -= (2.0 * params.f0 / params.c) * r
-                turns -= np.rint(turns)
-                turns *= 2.0 * np.pi
-                angle = turns.astype(np.float32).reshape(self.n_rows, -1)
-                block = cache[:, start:stop]
-                np.cos(angle, out=block.real)
-                np.sin(angle, out=block.imag)
-                np.copyto(block, 0.0, where=np.logical_not(mask.reshape(self.n_rows, -1)))
+            for _ in self._search_blocks(cache, counts):
+                pass
             self._cache = cache
             self._norms = np.sqrt(counts, out=counts)
 
@@ -240,9 +253,11 @@ class SensingOperator:
         """Conjugate-transpose product: out[g] = sum_i conj(atom_g[i]) r[i].
 
         Exact complex128, one tile of atoms at a time. ``search=True`` asks
-        only for a proxy to rank columns by: once the "full-row-cache"
-        policy has built the search cache, it answers from there in
-        complex64; a streaming operator answers exactly.
+        only for a proxy to rank columns by, answered in complex64 from the
+        search entries: from the search cache once the "full-row-cache"
+        policy has built it, else from the same entries streamed tile by
+        tile, whose masks also give the column norms if they are not known
+        yet.
         """
         residual = np.asarray(residual, dtype=np.complex128)
         if residual.shape != (self.n_rows,):
@@ -250,9 +265,17 @@ class SensingOperator:
         r_conj = residual.conj()
         if search:
             self._ensure_cache()
+            r_conj = r_conj.astype(np.complex64)
             if self._cache is not None:
-                out = r_conj.astype(np.complex64) @ self._cache
+                out = r_conj @ self._cache
                 return np.conj(out, out=out)
+            out = np.empty(self.n_cols, dtype=np.complex64)
+            counts = np.empty(self.n_cols) if self._norms is None else None
+            for start, stop, block in self._search_blocks(counts=counts):
+                np.conj(r_conj @ block, out=out[start:stop])
+            if counts is not None:
+                self._norms = np.sqrt(counts, out=counts)
+            return out
         out = np.empty(self.n_cols, dtype=np.complex128)
         for start, stop, r, u, mask in self._tiles():
             block = _samples(self.params, r, u, mask).reshape(self.n_rows, -1)
@@ -266,8 +289,9 @@ class SensingOperator:
 
         Every unmasked entry is cos + j sin of one phase, so a norm is the
         square root of the column's count of unmasked entries. The search
-        cache build records the counts; a streaming operator counts them in one
-        pass over the tiles' envelope masks, with no trig.
+        cache build, or else the first streamed search adjoint, records the
+        counts; before either, one pass over the tiles' envelope masks
+        counts them, with no trig.
         """
         self._ensure_cache()
         if self._norms is None:

@@ -11,14 +11,14 @@ envelopes, since every such entry is cos + j sin of one phase. The norms
 only rank candidates; the returned coefficients are plain reflectivities
 (normalization never touches the fitted values).
 
-Two precisions. The proxy only ranks, so where the operator keeps a
-complex64 search cache it may come from there; every fit, residual and
+Two precisions. The proxy only ranks, so it comes from the operator's
+complex64 search entries, cached or streamed; every fit, residual and
 returned number uses exact float64 atoms. The complex64 proxy is within a
 known bound of the exact one for every column, which gives each column a
 band of possible exact scores. Only the few columns whose band reaches the
 2k-th largest lower bound can be in the exact top 2k; they are rescored
 from exact atoms, so the candidates are the ones the exact proxy ranks
-first, and a streaming operator (exact proxy) ranks as it always has.
+first.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import operator
 from .model import ExtendedGrid, GridCoord, flat_index, unflatten
-from .operator import _SEARCH_ENTRY_ERROR
 
 __all__ = [
     "RecoveryConfig",
@@ -154,33 +154,42 @@ def _largest(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def _candidates(op, residual: np.ndarray, visible: np.ndarray, inv_norms: np.ndarray,
-                count: int) -> np.ndarray:
+                count: int, proxy: np.ndarray | None = None) -> np.ndarray:
     """The ``count`` visible columns that :func:`_largest` ranks first by the
-    exact normalized proxy |A^H r| / norm, found from ``op``'s search proxy.
+    exact normalized proxy |A^H r| / norm, found from ``op``'s complex64
+    search proxy (``proxy``, when the caller already has it for ``residual``).
 
-    A complex64 proxy differs from the exact one, in every column, by at
-    most the cache's entry bound plus the float32 rounding of r and of the
-    product, (M + 2) eps32, each per unit of ||r||_1 over the column norm.
-    A column whose score plus that slack stays below the ``count``-th
+    The search proxy differs from the exact one, in every column, by at
+    most the search entries' bound plus the float32 rounding of r and of
+    the product, (M + 2) eps32, each per unit of ||r||_1 over the column
+    norm. A column whose score plus that slack stays below the ``count``-th
     largest score minus slack has ``count`` columns above it; the rest, the
-    band, are rescored from exact atoms.
+    band, are rescored from exact atoms, gathered at most one tile's worth
+    of columns at a time.
     """
-    proxy = op.adjoint(residual, search=True)
+    if proxy is None:
+        proxy = op.adjoint(residual, search=True)
     scores = np.abs(proxy[visible] * inv_norms[visible])
     # a zero residual scores every column 0 exactly, in either precision
-    if proxy.dtype != np.complex64 or not residual.any():
+    if not residual.any():
         return visible[_largest(scores, count)]
     eps32 = float(np.finfo(np.float32).eps)
     r_l1 = float(np.abs(residual).sum())
-    slack = (_SEARCH_ENTRY_ERROR + (residual.size + 2) * eps32) * r_l1 * inv_norms[visible]
+    slack = (operator._SEARCH_ENTRY_ERROR + (residual.size + 2) * eps32) * r_l1 * inv_norms[visible]
     band = visible
     if count < visible.size:
         low = scores - slack
         floor = np.partition(low, low.size - count)[low.size - count]
         band = visible[scores + slack >= floor]
-    # C order, like the streamed tiles' blocks, so BLAS mostly sums these
-    # products in the order it sums theirs
-    exact = np.abs((residual.conj() @ np.ascontiguousarray(op.columns(band))) * inv_norms[band])
+    r_conj = residual.conj()
+    chunk = max(1, operator._BLOCK_ELEMENTS // residual.size)
+    exact = np.empty(band.size)
+    for start in range(0, band.size, chunk):
+        cols = band[start:start + chunk]
+        # C order, like the streamed tiles' blocks, so BLAS mostly sums these
+        # products in the order it sums theirs
+        atoms = np.ascontiguousarray(op.columns(cols))
+        exact[start:start + chunk] = np.abs((r_conj @ atoms) * inv_norms[cols])
     return band[_largest(exact, count)]
 
 
@@ -210,6 +219,11 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement vector must be finite")
     k = cfg.sparsity
+    y_norm = float(np.linalg.norm(y))
+    eps = cfg.residual_threshold if cfg.residual_threshold is not None else 1e-6 * y_norm
+    # Ask for the first proxy before the norms: a streaming operator then
+    # counts the norms in the same pass over its tiles.
+    proxy = op.adjoint(y, search=True) if y_norm >= eps else None
     norms = op.column_norms()
     visible = np.flatnonzero(norms > 0)
     n_visible = visible.size
@@ -219,9 +233,6 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
         )
     inv_norms = np.zeros_like(norms)
     inv_norms[visible] = 1.0 / norms[visible]
-
-    y_norm = float(np.linalg.norm(y))
-    eps = cfg.residual_threshold if cfg.residual_threshold is not None else 1e-6 * y_norm
 
     diag = CosampDiagnostics()
     support = np.zeros(0, dtype=np.int64)
@@ -237,7 +248,8 @@ def cosamp(op, y: np.ndarray, cfg: RecoveryConfig):
     iteration = 0
     while not halt:
         iteration += 1
-        candidates = _candidates(op, residual, visible, inv_norms, 2 * k)
+        candidates = _candidates(op, residual, visible, inv_norms, 2 * k, proxy)
+        proxy = None
         merged = np.union1d(support, candidates)
         merged_cols = op.columns(merged)
         fit, dropped = _lstsq_drop_dependent(merged_cols, y)

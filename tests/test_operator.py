@@ -95,7 +95,8 @@ class TestOperatorConstruction:
         op = SensingOperator(params, grid, sel, cache_policy="none")
         op.column_norms()
         op.adjoint(np.ones(8, dtype=complex))
-        assert op.adjoint(np.ones(8, dtype=complex), search=True).dtype == np.complex128
+        # the search entries stream through complex64, one tile at a time
+        assert op.adjoint(np.ones(8, dtype=complex), search=True).dtype == np.complex64
         assert op._cache is None
 
     @pytest.mark.parametrize("policy", ["none", "full-row-cache"])
@@ -205,12 +206,22 @@ class TestTiles:
         exact = direct.adjoint(residual)
         assert np.allclose(exact, cached.adjoint(residual), rtol=1e-13, atol=0)
         assert np.array_equal(direct.column_norms(), cached.column_norms())
-        # the bound cosamp's band rests on: entry error plus float32 rounding
-        search = cached.adjoint(residual, search=True)
-        assert search.dtype == np.complex64
+        # the bound cosamp's band rests on: entry error plus float32 rounding,
+        # for the cached search entries and for the streamed ones
         eps32 = float(np.finfo(np.float32).eps)
         bound = (operator._SEARCH_ENTRY_ERROR + (sel.m + 2) * eps32) * np.abs(residual).sum()
-        assert np.abs(search - exact).max() <= bound
+        for op in (cached, direct):
+            search = op.adjoint(residual, search=True)
+            assert search.dtype == np.complex64
+            assert np.abs(search - exact).max() <= bound
+
+    @pytest.mark.parametrize("pairs", [1, 3, 6])
+    def test_streamed_search_blocks_equal_cache(self, params, tile_grid, monkeypatch, pairs):
+        _, cached, direct = self.tile_operators(params, tile_grid, monkeypatch, pairs)
+        cached.column_norms()
+        blocks = [block for _, _, block in direct._search_blocks()]
+        assert len(blocks) == math.ceil(6 / pairs)
+        assert np.array_equal(np.concatenate(blocks, axis=1), cached._cache)
 
     @pytest.mark.parametrize("pairs", [1, 3, 6])
     def test_search_cache_within_entry_bound(self, params, tile_grid, monkeypatch, pairs):
@@ -395,3 +406,9 @@ class TestColumnNorms:
         assert len(calls) == 2 * tiles  # the build, one envelope per tile
         assert np.array_equal(cached.column_norms(), streamed.column_norms())
         assert len(calls) == 2 * tiles
+        # a streamed search records the norms from its own tiles' masks
+        searched = SensingOperator(params, grid, sel, cache_policy="none")
+        searched.adjoint(np.ones(16, dtype=complex), search=True)
+        assert len(calls) == 3 * tiles
+        assert np.array_equal(searched.column_norms(), streamed.column_norms())
+        assert len(calls) == 3 * tiles

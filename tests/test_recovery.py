@@ -175,6 +175,32 @@ class TestCandidateBand:
         inv_norms = np.full(6, 0.5)  # four unit entries per column
         assert list(_candidates(op, residual, visible, inv_norms, 2)) == [0, 2]
 
+    def test_band_rescoring_gathers_at_most_one_tile(self, params, grid, monkeypatch):
+        # one sample: every visible column scores |r| up to rounding, so the
+        # whole visible set ties inside the band
+        op = make_operator(params, grid, m=1, seed=43)
+        norms = op.column_norms()
+        visible = np.flatnonzero(norms > 0)
+        inv_norms = np.zeros_like(norms)
+        inv_norms[visible] = 1.0 / norms[visible]
+        residual = np.array([0.6 - 0.8j])
+        exact = np.abs(op.adjoint(residual)[visible] * inv_norms[visible])
+        expected = visible[np.sort(np.argsort(-exact, kind="stable")[:3])]
+        assert np.array_equal(_candidates(op, residual, visible, inv_norms, 3), expected)
+        chunk = 5
+        monkeypatch.setattr(operator, "_BLOCK_ELEMENTS", chunk * op.n_rows)
+        gathers = []
+        columns = op.columns
+
+        def counting(flat):
+            gathers.append(len(flat))
+            return columns(flat)
+
+        monkeypatch.setattr(op, "columns", counting)
+        assert np.array_equal(_candidates(op, residual, visible, inv_norms, 3), expected)
+        assert sum(gathers) == visible.size > chunk
+        assert max(gathers) <= chunk
+
 
 class TestRelativeError:
     def test_equal_profiles_have_zero_error(self, grid):
@@ -270,6 +296,29 @@ class TestCosampContracts:
         assert profile.entries == ()
         assert diag.halt_reason == "residual_below_threshold"
         assert diag.iterations == 0
+
+    def test_threshold_above_measurement_norm_makes_no_search(self, params, grid, monkeypatch):
+        op = make_operator(params, grid, m=12, seed=41)
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        calls = []
+        adjoint = op.adjoint
+
+        def counting(residual, search=False):
+            calls.append(search)
+            return adjoint(residual, search)
+
+        monkeypatch.setattr(op, "adjoint", counting)
+        threshold = 1.01 * np.linalg.norm(y)
+        profile, diag = cosamp(op, y, RecoveryConfig(sparsity=1, residual_threshold=threshold))
+        assert diag.iterations == 0
+        assert diag.halt_reason == "residual_below_threshold"
+        assert profile.entries == ()
+        assert calls == []
+        # one search proxy per iteration; the first, for y, feeds the first ranking
+        profile, diag = cosamp(op, y, RecoveryConfig(sparsity=1, max_iterations=3))
+        assert diag.iterations >= 1
+        assert calls == [True] * diag.iterations
 
     def test_halts_on_max_iterations(self, params, grid):
         op = make_operator(params, grid, m=12, seed=31)
