@@ -13,9 +13,11 @@ Each sample of the baseband echo for unit reflectivity is
 
 with rectangular range envelope w_r of width tp, rectangular azimuth
 envelope w_a of width na/fa centered on the target's zero-Doppler time
-eta_c = y / (v - vy), and exact (not series-approximated) R. All phase
-arithmetic is double precision; single precision visibly corrupts the
-carrier term at 30 km ranges.
+eta_c = y / (v - vy), and exact (not series-approximated) R. The phase
+is taken in double-precision turns and reduced to one turn before it is
+scaled to radians. The sensing operator's complex64 search entries round
+that reduced angle to single precision, so they differ from the exact
+samples by an amount that does not depend on range or carrier.
 """
 
 from __future__ import annotations
@@ -111,17 +113,27 @@ def _envelope(params: RadarParams, r, tau, gate) -> tuple[np.ndarray, np.ndarray
     return u, mask
 
 
-def _samples(params: RadarParams, r, u, mask) -> np.ndarray:
+def _samples(params: RadarParams, r, u, mask, out=None) -> np.ndarray:
     """Samples cos + j sin of the chirp and carrier phase at exact range r and
     delayed fast time u, zeroed outside ``mask`` (u and mask from
-    :func:`_envelope`). The sensing operator calls this with separably built
-    r, so everything after r is one code path."""
-    phase = (np.pi * params.kr) * u
-    phase *= u
-    phase -= (4.0 * np.pi * params.f0 / params.c) * r
-    out = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
+    :func:`_envelope`), in ``out`` if given, else a new complex128 array.
+
+    The phase is taken in float64 turns, reduced to one turn and scaled to
+    radians in [-pi, pi]; cos and sin are then taken at ``out``'s precision,
+    so a complex64 sample is the float32 rounding of the complex128 sample's
+    own angle, whatever the range or carrier. The sensing operator calls this
+    with separably built r, so everything after r is one code path.
+    """
+    turns = (0.5 * params.kr) * u
+    turns *= u
+    turns -= (2.0 * params.f0 / params.c) * r
+    turns -= np.rint(turns)
+    turns *= 2.0 * np.pi
+    if out is None:
+        out = np.empty(turns.shape, dtype=np.complex128)
+    angle = turns.astype(out.real.dtype, copy=False)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
     np.copyto(out, 0.0, where=np.logical_not(mask))
     return out
 

@@ -77,6 +77,10 @@ class ExperimentSpec:
             raise ValueError("trials_per_point: need at least one trial per point")
         if self.workers < 1:
             raise ValueError("workers: need at least one worker")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations: need at least one iteration")
+        if not self.stall_tolerance >= 0:  # refuses NaN too
+            raise ValueError("stall_tolerance: must be non-negative")
         for snr in self.snr_values_db:
             _noiseless(snr, "snr_values_db")
         if self.mode == "psr_vs_m" and self.snr_values_db:

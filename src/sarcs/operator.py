@@ -6,10 +6,13 @@ stacked to flat position m + nr * n. The full matrix (nr*na rows by
 nx*ny*nvx*nvy columns, ~1.3 TB at production scale) is never formed;
 only its restriction to M randomly selected sample rows is evaluated,
 exactly and on the fly in column tiles. CoSaMP ranks candidates from
-complex64 search entries, each within ``_SEARCH_ENTRY_ERROR`` of the exact
-one: held in an M-by-N search cache (8 * M * N bytes) where the memory rule
-allows, else streamed in the same tiles. They only rank, so every product
-and atom the operator returns otherwise stays exact.
+complex64 search entries: held in an M-by-N search cache (8 * M * N bytes)
+where the memory rule allows, else streamed in the same tiles. The echo
+kernel makes both from one phase, in float64 turns reduced to one turn; a
+search entry takes cos and sin of that angle rounded to float32, so it is
+within ``_SEARCH_ENTRY_ERROR`` of the exact entry whatever the range or
+carrier. Search entries only rank, so every product and atom the operator
+returns otherwise stays exact.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ __all__ = [
 # (~0.5 MB each) stay in cache. A tile holds at least one (p, q) pair.
 _BLOCK_ELEMENTS = 65_536
 
-# Bound on |search-cache entry - exact atom entry|. An entry's phase is
-# reduced to [-pi, pi] in float64, so rounding it to float32 moves it by at
-# most half an ulp at pi, 2**-23 ~ 1.2e-7 rad; float32 cos and sin add about
-# one ulp of a value below 1, 6e-8 each. The production grid measures 2.0e-7.
+# Bound on |search entry - exact atom entry|. Both come from one float64
+# phase in turns, reduced to one turn and scaled to [-pi, pi] (echo._samples);
+# rounding that angle to float32 moves it by at most half an ulp at pi,
+# 2**-23 ~ 1.2e-7 rad, and float32 cos and sin add about one ulp of a value
+# below 1, 6e-8 each. Neither grows with range or carrier: the production
+# grid measures 2.0e-7, the smoke grid from 2 km to 36 000 km at up to 35 GHz
+# at most 1.9e-7.
 _SEARCH_ENTRY_ERROR = 5e-7
 
 
@@ -176,57 +182,42 @@ class SensingOperator:
     def n_cols(self) -> int:
         return self.grid.size
 
-    def _tiles(self):
-        """Consecutive tiles of whole (p, q) velocity pairs as (start, stop, r,
-        u, mask): the range r, a broadcast sum of the separable tables, and its
-        :func:`_envelope`, each M x pairs x ny x nx, so columns start..stop are
-        the last three axes flattened."""
+    def _tiles(self, dtype, cache: np.ndarray | None = None):
+        """Consecutive tiles of whole (p, q) velocity pairs as (start, stop,
+        block): the M x (stop - start) :func:`_samples` of columns start..stop
+        at ``dtype``, written into ``cache[:, start:stop]`` when a cache is
+        given. The range is a broadcast sum of the separable tables, over
+        M x pairs x ny x nx, so the columns are its last three axes flattened.
+        While the column norms are unknown, each tile's mask counts are
+        recorded, and a finished walk sets the norms."""
         grid = self.grid
         cells = grid.nx * grid.ny
         pairs = grid.nvx * grid.nvy
         step = max(1, _BLOCK_ELEMENTS // (self.n_rows * cells))
         tau = self._tau[:, :, None, None]
+        counts = np.empty(self.n_cols) if self._norms is None else None
         for first in range(0, pairs, step):
             pq = np.arange(first, min(first + step, pairs))
             ps, qs = pq % grid.nvx, pq // grid.nvx
+            start, stop = first * cells, (pq[-1] + 1) * cells
             r = np.sqrt(self._xr2[:, ps, None, :] + self._yr2[:, qs, :, None])
             u, mask = _envelope(self.params, r, tau, self._gate[:, qs, :, None])
-            yield first * cells, (pq[-1] + 1) * cells, r, u, mask
-
-    def _search_blocks(self, cache: np.ndarray | None = None, counts: np.ndarray | None = None):
-        """Complex64 search entries, tile by tile, as (start, stop, block): the
-        entries of columns start..stop, written into ``cache[:, start:stop]``
-        when a cache is given. ``counts``, when given, receives each column's
-        count of unmasked entries from the same masks, so the zero pattern is
-        the exact atoms'. The phase is taken in float64 turns and reduced to
-        one turn before float32 cos/sin; see ``_SEARCH_ENTRY_ERROR``."""
-        params = self.params
-        for start, stop, r, u, mask in self._tiles():
-            mask = mask.reshape(self.n_rows, -1)
+            r, u, mask = (a.reshape(self.n_rows, -1) for a in (r, u, mask))
             if counts is not None:
                 counts[start:stop] = mask.sum(axis=0)
-            turns = (0.5 * params.kr) * u
-            turns *= u
-            turns -= (2.0 * params.f0 / params.c) * r
-            turns -= np.rint(turns)
-            turns *= 2.0 * np.pi
-            angle = turns.astype(np.float32).reshape(self.n_rows, -1)
-            block = np.empty(angle.shape, np.complex64) if cache is None else cache[:, start:stop]
-            np.cos(angle, out=block.real)
-            np.sin(angle, out=block.imag)
-            np.copyto(block, 0.0, where=np.logical_not(mask))
-            yield start, stop, block
+            out = np.empty(mask.shape, dtype) if cache is None else cache[:, start:stop]
+            yield start, stop, _samples(self.params, r, u, mask, out)
+            del out  # a caller that drops the block frees it before the next tile
+        if counts is not None:
+            self._norms = np.sqrt(counts, out=counts)
 
     def _ensure_cache(self) -> None:
-        """Build the complex64 search cache, and the column norms from the
-        same tiles' masks."""
+        """Build the complex64 search cache, recording the column norms too."""
         if self.cache_policy == "full-row-cache" and self._cache is None:
             cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex64)
-            counts = np.empty(self.n_cols)
-            for _ in self._search_blocks(cache, counts):
+            for _ in self._tiles(np.complex64, cache):
                 pass
             self._cache = cache
-            self._norms = np.sqrt(counts, out=counts)
 
     def columns(self, flat: np.ndarray) -> np.ndarray:
         """Explicit M-by-K restricted columns for the given flat indices,
@@ -255,9 +246,8 @@ class SensingOperator:
         Exact complex128, one tile of atoms at a time. ``search=True`` asks
         only for a proxy to rank columns by, answered in complex64 from the
         search entries: from the search cache once the "full-row-cache"
-        policy has built it, else from the same entries streamed tile by
-        tile, whose masks also give the column norms if they are not known
-        yet.
+        policy has built it, else from the same entries streamed in the same
+        tiles as the exact product.
         """
         residual = np.asarray(residual, dtype=np.complex128)
         if residual.shape != (self.n_rows,):
@@ -269,16 +259,8 @@ class SensingOperator:
             if self._cache is not None:
                 out = r_conj @ self._cache
                 return np.conj(out, out=out)
-            out = np.empty(self.n_cols, dtype=np.complex64)
-            counts = np.empty(self.n_cols) if self._norms is None else None
-            for start, stop, block in self._search_blocks(counts=counts):
-                np.conj(r_conj @ block, out=out[start:stop])
-            if counts is not None:
-                self._norms = np.sqrt(counts, out=counts)
-            return out
-        out = np.empty(self.n_cols, dtype=np.complex128)
-        for start, stop, r, u, mask in self._tiles():
-            block = _samples(self.params, r, u, mask).reshape(self.n_rows, -1)
+        out = np.empty(self.n_cols, dtype=r_conj.dtype)
+        for start, stop, block in self._tiles(r_conj.dtype):
             # out= keeps one product temporary alive, not two
             np.conj(r_conj @ block, out=out[start:stop])
             del block
@@ -288,15 +270,12 @@ class SensingOperator:
         """l2 norm of every restricted column; zero marks unseen atoms.
 
         Every unmasked entry is cos + j sin of one phase, so a norm is the
-        square root of the column's count of unmasked entries. The search
-        cache build, or else the first streamed search adjoint, records the
-        counts; before either, one pass over the tiles' envelope masks
-        counts them, with no trig.
+        square root of the column's count of unmasked entries. The first
+        walk over the tiles records the counts: the search cache build, a
+        streamed adjoint, or else a complex64 walk here.
         """
         self._ensure_cache()
         if self._norms is None:
-            counts = np.empty(self.n_cols)
-            for start, stop, _, _, mask in self._tiles():
-                counts[start:stop] = mask.sum(axis=0).reshape(-1)
-            self._norms = np.sqrt(counts, out=counts)
+            for _ in self._tiles(np.complex64):
+                pass
         return self._norms

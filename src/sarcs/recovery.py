@@ -58,10 +58,13 @@ class RecoveryConfig:
     def __post_init__(self) -> None:
         if self.sparsity < 1:
             raise ValueError("sparsity must be at least 1")
-        if self.residual_threshold is not None and self.residual_threshold < 0:
+        # `not x >= 0` refuses NaN too, as config._non_negative does
+        if self.residual_threshold is not None and not self.residual_threshold >= 0:
             raise ValueError("residual threshold must be non-negative")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+        if not self.stall_tolerance >= 0:
+            raise ValueError("stall tolerance must be non-negative")
 
 
 @dataclass(frozen=True, eq=False, init=False)

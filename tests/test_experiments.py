@@ -192,6 +192,23 @@ class TestExperimentSpec:
         [point] = psr_sweep(spec)
         assert (point.snr_db, point.successes) == (math.inf, 1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_iterations", 0, "max_iterations: need at least one iteration"),
+            ("stall_tolerance", math.nan, "stall_tolerance: must be non-negative"),
+            ("stall_tolerance", -1e-4, "stall_tolerance: must be non-negative"),
+        ],
+        ids=["max_iterations-0", "stall_tolerance-nan", "stall_tolerance-negative"],
+    )
+    def test_bad_recovery_knobs_rejected_when_built(self, params, grid, field, value, message):
+        # refused by the spec itself, not later by the first sweep worker's RecoveryConfig
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(
+                mode="psr_vs_m", params=params, grid=grid,
+                target_counts=(1,), measurement_counts=(10,), **{field: value},
+            )
+
     def test_unknown_mode_rejected(self, params, grid):
         for mode in ("fig5", "fig2"):
             with pytest.raises(ValueError, match="unknown experiment mode"):

@@ -219,12 +219,24 @@ class TestTiles:
     def test_streamed_search_blocks_equal_cache(self, params, tile_grid, monkeypatch, pairs):
         _, cached, direct = self.tile_operators(params, tile_grid, monkeypatch, pairs)
         cached.column_norms()
-        blocks = [block for _, _, block in direct._search_blocks()]
+        blocks = [block for _, _, block in direct._tiles(np.complex64)]
         assert len(blocks) == math.ceil(6 / pairs)
         assert np.array_equal(np.concatenate(blocks, axis=1), cached._cache)
 
-    @pytest.mark.parametrize("pairs", [1, 3, 6])
-    def test_search_cache_within_entry_bound(self, params, tile_grid, monkeypatch, pairs):
+    # the smoke radar as given, then moved out to where the carrier phase
+    # is 1e9 to 1e10 turns: one phase in float64 turns, rounded once to
+    # float32, keeps the bound there too
+    @pytest.mark.parametrize(
+        "pairs, x_origin, carrier",
+        [(1, None, None), (3, None, None), (6, None, None), (3, 3.0e6, 35e9), (3, 3.6e7, 35e9)],
+        ids=["1", "3", "6", "3000km-35GHz", "36000km-35GHz"],
+    )
+    def test_search_cache_within_entry_bound(
+        self, params, tile_grid, monkeypatch, pairs, x_origin, carrier
+    ):
+        if x_origin is not None:
+            params = dataclasses.replace(params, f0=carrier, tau0=2.0 * x_origin / params.c)
+            tile_grid = dataclasses.replace(tile_grid, x0=x_origin)
         _, cached, direct = self.tile_operators(params, tile_grid, monkeypatch, pairs)
         cached.column_norms()  # builds the search cache under the patched tile size
         exact = direct.columns(np.arange(tile_grid.size))

@@ -1,6 +1,8 @@
 """Hypothesis properties of the operator, indexing, container, profiles and
 solver on random small grids."""
 
+import dataclasses
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -60,6 +62,25 @@ def test_uncached_columns_equal_cache_bit_for_bit(grid, m, seed, data):
     every = np.arange(grid.size)
     direct = SensingOperator(PARAMS, grid, sel, "none").columns(every)
     assert np.array_equal(direct, cached.columns(every))
+
+
+@settings(quick, max_examples=100)
+@given(
+    log10_range=st.floats(math.log10(2e3), math.log10(3.6e7)),
+    carrier=st.floats(1e9, 35e9),
+    m=st.integers(1, 40),
+    seed=seeds,
+)
+def test_search_entries_within_bound_at_any_range_and_carrier(log10_range, carrier, m, seed):
+    x0 = 10.0**log10_range
+    params = dataclasses.replace(PARAMS, f0=carrier, tau0=2.0 * x0 / PARAMS.c)
+    grid = dataclasses.replace(small_search_grid(), x0=x0)
+    sel = select_measurements(m, TOTAL, seed)
+    cached = SensingOperator(params, grid, sel, "full-row-cache")
+    cached.column_norms()
+    exact = SensingOperator(params, grid, sel, "none").columns(np.arange(grid.size))
+    assert np.array_equal(cached._cache == 0, exact == 0)
+    assert np.abs(cached._cache - exact).max() <= operator._SEARCH_ENTRY_ERROR
 
 
 @quick

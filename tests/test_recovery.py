@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,14 @@ class TestRecoveryConfig:
             RecoveryConfig(sparsity=1, residual_threshold=-1.0)
         with pytest.raises(ValueError):
             RecoveryConfig(sparsity=1, max_iterations=0)
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-4, -math.inf])
+    def test_nan_and_negative_tolerances_rejected(self, value):
+        # a NaN threshold never halts cosamp, a NaN or negative tolerance never stalls it
+        with pytest.raises(ValueError, match="residual threshold must be non-negative"):
+            RecoveryConfig(sparsity=1, residual_threshold=value)
+        with pytest.raises(ValueError, match="stall tolerance must be non-negative"):
+            RecoveryConfig(sparsity=1, stall_tolerance=value)
 
 
 class TestSparseProfile:
@@ -328,8 +338,7 @@ class TestCosampContracts:
             op,
             y,
             RecoveryConfig(
-                sparsity=2, residual_threshold=0.0, max_iterations=2,
-                stall_tolerance=-np.inf,
+                sparsity=2, residual_threshold=0.0, max_iterations=2, stall_tolerance=0.0
             ),
         )
         assert diag.iterations == 2
