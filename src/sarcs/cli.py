@@ -30,7 +30,7 @@ from .baseline import matched_filter_image, sidelobe_metrics
 from .config import ConfigError, RunConfig, load_config
 from .echo import add_noise, scene_echo
 from .experiments import psr_sweep
-from .operator import SensingOperator, _fitting_cache_policy, select_measurements
+from .operator import SensingOperator, select_measurements
 from .recovery import RecoveryConfig, cosamp, relative_error
 
 
@@ -43,7 +43,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[str]:
     scene, truth = cfg.build_scene()
     echo = scene_echo(scene, cfg.params)
     if cfg.snr_db is not None:
-        echo = add_noise(echo, cfg.snr_db, cfg.noise_seed)
+        try:
+            echo = add_noise(echo, cfg.snr_db, cfg.noise_seed)
+        except ValueError as exc:  # an all-zero echo has no SNR
+            raise ConfigError(f"[scene] snr_db: {exc}") from exc
     _prepare_output(cfg, out_dir)
     storage.write_echo(out_dir / "echo.bin", echo)
     lines = [
@@ -69,8 +72,7 @@ def cmd_image_cs(cfg: RunConfig, echo_path: str, truth_path, out_dir: Path) -> l
     selection = select_measurements(
         cfg.measurements, cfg.params.nr * cfg.params.na, cfg.selection_seed
     )
-    policy = _fitting_cache_policy(selection.m, cfg.grid.size)
-    op = SensingOperator(cfg.params, cfg.grid, selection, policy)
+    op = SensingOperator(cfg.params, cfg.grid, selection, "full-row-cache")
     y = echo.vec()[selection.indices]
     profile, diag = cosamp(
         op,

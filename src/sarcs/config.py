@@ -13,7 +13,7 @@ defaults and the effective-config rendering.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .baseline import _hypothesis_on_grid
@@ -27,7 +27,6 @@ from .model import (
     Target,
     check_simulation_geometry,
 )
-from .operator import _fitting_cache_policy
 from .recovery import RecoveryConfig, SparseProfile
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -52,6 +51,14 @@ def _non_negative_int(raw: str) -> int:
     value = _integer(raw)
     if value < 0:
         raise ValueError("must be non-negative")
+    return value
+
+
+def _seed(raw: str) -> int:
+    # a Philox key: one unsigned 64-bit word
+    value = _integer(raw)
+    if not 0 <= value < 2**64:
+        raise ValueError("must be in [0, 2**64)")
     return value
 
 
@@ -153,12 +160,12 @@ _KEYS = (
     _Key("grid", "nvy", "nvy", _integer, repr, 11),
     _Key("scene", "targets", "targets", _targets, _render_targets, ()),
     _Key("scene", "random_targets", "random_k", _non_negative_int, repr, None),
-    _Key("scene", "scene_seed", "scene_seed", _integer, repr, 0),
+    _Key("scene", "scene_seed", "scene_seed", _seed, repr, 0),
     _Key("scene", "snr_db", "snr_db", _snr, repr, None),
-    _Key("scene", "noise_seed", "noise_seed", _integer, repr, 0),
+    _Key("scene", "noise_seed", "noise_seed", _seed, repr, 0),
     _Key("recovery", "sparsity", "sparsity", _at_least_one, repr, None),
     _Key("recovery", "measurements", "measurements", _at_least_one, repr, 100),
-    _Key("recovery", "selection_seed", "selection_seed", _integer, repr, 0),
+    _Key("recovery", "selection_seed", "selection_seed", _seed, repr, 0),
     _Key("recovery", "residual_threshold", "residual_threshold", _non_negative, repr, None),
     _Key("recovery", "max_iterations", "max_iterations", _at_least_one, repr,
          RecoveryConfig.max_iterations),
@@ -335,16 +342,10 @@ def load_config(path) -> RunConfig:
                 mode="psr_vs_snr" if sweep["snr_values_db"] else "psr_vs_m",
                 params=params,
                 grid=grid,
-                cache_policy="none",
                 max_iterations=run["max_iterations"],
                 stall_tolerance=run["stall_tolerance"],
                 **sweep,
             )
-            # the memory rule, for one row cache per worker the sweep starts
-            policy = _fitting_cache_policy(
-                max(experiment.measurement_counts), grid.size, experiment.pool_workers
-            )
-            experiment = replace(experiment, cache_policy=policy)
         except ValueError as exc:
             raise ConfigError(f"[experiment] {exc}") from exc
     return RunConfig(params=params, grid=grid, experiment=experiment, **run)

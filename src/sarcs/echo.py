@@ -181,11 +181,14 @@ def noise_variance(echo: EchoMatrix, snr_db: float) -> float:
 
 
 def _noiseless(snr_db: float, name: str = "snr_db") -> bool:
-    """The SNR rule: finite, or +inf (True) for no noise; else a ValueError naming ``name``."""
+    """The SNR rule: at least -3000 dB, so the noise power 10 ** (-snr_db / 10)
+    stays a float, or +inf (True) for no noise; else a ValueError naming ``name``."""
     if snr_db == math.inf:
         return True
-    if not math.isfinite(snr_db):
-        raise ValueError(f"{name}: must be finite, or inf for no noise, got {snr_db!r}")
+    if not -3000.0 <= snr_db < math.inf:
+        raise ValueError(
+            f"{name}: must be finite, or inf for no noise, and not below -3000 dB; got {snr_db!r}"
+        )
     return False
 
 

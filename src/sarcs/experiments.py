@@ -24,7 +24,7 @@ from .echo import _noise, _noiseless, noise_variance, scene_echo
 from .model import ExtendedGrid, RadarParams, Scene, Target, grid_to_physical
 from .operator import (
     SensingOperator,
-    _check_row_caches_fit,
+    _caches_fit,
     sample_without_replacement,
     select_measurements,
 )
@@ -54,7 +54,11 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Sweep description: which curves to trace and at what trial budget."""
+    """Sweep description: which curves to trace and at what trial budget.
+
+    A "full-row-cache" ``cache_policy`` reads "none" when the search caches
+    of the largest M, one per worker the sweep starts, would not fit.
+    """
 
     mode: str
     params: RadarParams
@@ -90,8 +94,10 @@ class ExperimentSpec:
                 raise ValueError(f"{name}: {self.mode} needs target and measurement counts")
         if self.mode == "psr_vs_snr" and not self.snr_values_db:
             raise ValueError("snr_values_db: psr_vs_snr needs a list of SNR values")
-        if self.cache_policy == "full-row-cache":
-            _check_row_caches_fit(max(self.measurement_counts), self.grid.size, self.pool_workers)
+        if self.cache_policy == "full-row-cache" and not _caches_fit(
+            max(self.measurement_counts), self.grid.size, self.pool_workers
+        ):
+            object.__setattr__(self, "cache_policy", "none")
 
     @property
     def pool_workers(self) -> int:

@@ -72,6 +72,8 @@ class RadarParams:
     c: float = 3.0e8
 
     def __post_init__(self) -> None:
+        for name in ("v", "f0", "tp", "bandwidth", "fs", "fa", "tau0", "c"):
+            _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
         _require(self.v > 0, "platform speed must be positive")
         _require(self.f0 > 0, "carrier must be positive")
         _require(self.tp > 0 and self.bandwidth > 0, "pulse must be positive")
@@ -79,9 +81,10 @@ class RadarParams:
         _require(self.fa > 0, "prf must be positive")
         _require(self.na >= 1, "need at least one pulse")
         _require(self.tau0 >= 0, "range window start must be non-negative")
-        # -1e-6 guards against float roundoff in tp * fs (e.g. 1e-5 * 1.2e8).
+        # nr >= ceil(tp * fs), with -1e-6 against float roundoff in tp * fs
+        # (e.g. 1e-5 * 1.2e8); compared as floats, an overflowing product fails.
         _require(
-            self.nr >= math.ceil(self.tp * self.fs - 1e-6),
+            self.nr >= self.tp * self.fs - 1e-6,
             "range window shorter than the transmitted pulse",
         )
 
@@ -158,6 +161,8 @@ class ExtendedGrid:
     nvy: int
 
     def __post_init__(self) -> None:
+        for name in ("x0", "y0", "vx0", "vy0", "dx", "dy", "dvx", "dvy"):
+            _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
         _require(
             self.dx > 0 and self.dy > 0 and self.dvx > 0 and self.dvy > 0,
             "all bin sizes must be positive",
@@ -238,7 +243,8 @@ def check_simulation_geometry(params: RadarParams, grid: ExtendedGrid) -> None:
 
     The fast-time window [tau0, tau0 + nr/fs] must contain the two-way
     delay of every grid position (taken at eta = 0) plus one full pulse
-    width, and no azimuth speed candidate may equal the platform speed.
+    width, no azimuth speed candidate may equal the platform speed, and
+    the phase of every sample in the window must be a finite float.
     """
     vys = grid.vy_axis()
     if np.any(vys == params.v):
@@ -258,3 +264,10 @@ def check_simulation_geometry(params: RadarParams, grid: ExtendedGrid) -> None:
             f"range window ends before the farthest grid echo "
             f"({delays.max() + params.tp:.9e} s > {window_end:.9e} s)"
         )
+    # echo._samples takes a sample's phase in float64 turns: the chirp's
+    # (kr/2) u^2 with u < tp, less the carrier's (2 f0 / c) r with 2r/c at
+    # most the window's end; both bounds must be floats
+    chirp = 0.5 * params.kr * params.tp * params.tp
+    carrier = (2.0 * params.f0 / params.c) * (0.5 * params.c * window_end)
+    if not math.isfinite(chirp + carrier):
+        raise ValueError("the chirp and carrier phase over the range window overflow a float")

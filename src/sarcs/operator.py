@@ -6,9 +6,12 @@ stacked to flat position m + nr * n. The full matrix (nr*na rows by
 nx*ny*nvx*nvy columns, ~1.3 TB at production scale) is never formed;
 only its restriction to M randomly selected sample rows is evaluated,
 exactly and on the fly in column tiles. CoSaMP ranks candidates from
-complex64 search entries: held in an M-by-N search cache (8 * M * N bytes)
-where the memory rule allows, else streamed in the same tiles. The echo
-kernel makes both from one phase, in float64 turns reduced to one turn; a
+complex64 search entries, streamed in the same tiles. Under the
+"full-row-cache" policy the first ranking pass also keeps them, as an
+M-by-N search cache (8 * M * N bytes) that later passes multiply; the
+policy holds only while the memory rule, :func:`_caches_fit`, lets that
+cache fit, and falls back to "none" otherwise. The echo kernel makes atoms
+and search entries from one phase, in float64 turns reduced to one turn; a
 search entry takes cos and sin of that angle rounded to float32, so it is
 within ``_SEARCH_ENTRY_ERROR`` of the exact entry whatever the range or
 carrier. Search entries only rank, so every product and atom the operator
@@ -17,6 +20,7 @@ returns otherwise stays exact.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -50,18 +54,46 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _fitting_cache_policy(rows: int, cols: int, caches: int = 1) -> str:
-    """The memory rule: cache when ``caches`` M-by-N complex64 search caches fit in RAM."""
-    return "full-row-cache" if caches * rows * cols * 8 <= _physical_memory_bytes() else "none"
+# What cgroup v1 reports for an unlimited memory.limit_in_bytes.
+_CGROUP_V1_UNLIMITED = "9223372036854771712"
 
 
-def _check_row_caches_fit(rows: int, cols: int, caches: int = 1) -> None:
-    """Refuse a "full-row-cache" that breaks the memory rule; one per sweep worker."""
-    if _fitting_cache_policy(rows, cols, caches) == "none":
-        raise ValueError(
-            f"{caches} full-row-cache(s) of {rows} x {cols} complex64 entries exceed the "
-            f"{_physical_memory_bytes() / 1e9:.1f} GB of physical memory; use cache_policy='none'"
-        )
+def _cgroup_memory_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """The smallest memory limit of this process's cgroups in bytes; inf
+    when none is set or none can be read. The v2 line of ``proc`` names the
+    directory of ``memory.max`` under ``root``, the v1 memory line that of
+    ``memory.limit_in_bytes`` under ``root/memory``."""
+    try:
+        with open(proc, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError):
+        return math.inf
+    limit = math.inf
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        hierarchy, controllers, path = fields
+        if hierarchy == "0" and not controllers:
+            name = f"{root}{path.rstrip('/')}/memory.max"
+        elif "memory" in controllers.split(","):
+            name = f"{root}/memory{path.rstrip('/')}/memory.limit_in_bytes"
+        else:
+            continue
+        try:
+            with open(name, encoding="ascii") as fh:
+                text = fh.read().strip()
+            if text not in ("max", _CGROUP_V1_UNLIMITED):
+                limit = min(limit, int(text))
+        except (OSError, ValueError):
+            pass
+    return limit
+
+
+def _caches_fit(rows: int, cols: int, caches: int = 1) -> bool:
+    """The memory rule: ``caches`` M-by-N complex64 search caches fit in the
+    smaller of physical memory and this process's cgroup limit."""
+    return caches * rows * cols * 8 <= min(_physical_memory_bytes(), _cgroup_memory_limit())
 
 
 def _rand_below(rng: np.random.Generator, n: int) -> int:
@@ -130,12 +162,14 @@ class SensingOperator:
     selection
         Flat sample indices (into the column-stacked echo vector).
     cache_policy
-        "none" evaluates atoms and search entries on the fly in column
-        tiles; "full-row-cache" builds the complex64 search entries once as
-        an M-by-N matrix (8 * M * N bytes). Either way
-        ``adjoint(..., search=True)`` ranks from the same complex64 entries,
-        and ``columns``, ``forward`` and the default ``adjoint`` are exact
-        float64.
+        "none" streams atoms and search entries in column tiles, in
+        constant memory. "full-row-cache" also keeps the complex64 search
+        entries that the first ``adjoint(..., search=True)`` streams, as an
+        M-by-N search cache (8 * M * N bytes) for every later search, when
+        that cache fits in memory; when it does not, the operator streams
+        and its ``cache_policy`` reads "none". Either way the search ranks
+        from the same complex64 entries, and ``columns``, ``forward`` and
+        the default ``adjoint`` are exact float64.
     """
 
     def __init__(
@@ -151,8 +185,8 @@ class SensingOperator:
         total = params.nr * params.na
         if selection.indices[-1] >= total:
             raise ValueError("selection index beyond nr * na")
-        if cache_policy == "full-row-cache":
-            _check_row_caches_fit(selection.m, grid.size)
+        if cache_policy == "full-row-cache" and not _caches_fit(selection.m, grid.size):
+            cache_policy = "none"
         self.params = params
         self.grid = grid
         self.selection = selection
@@ -211,14 +245,6 @@ class SensingOperator:
         if counts is not None:
             self._norms = np.sqrt(counts, out=counts)
 
-    def _ensure_cache(self) -> None:
-        """Build the complex64 search cache, recording the column norms too."""
-        if self.cache_policy == "full-row-cache" and self._cache is None:
-            cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex64)
-            for _ in self._tiles(np.complex64, cache):
-                pass
-            self._cache = cache
-
     def columns(self, flat: np.ndarray) -> np.ndarray:
         """Explicit M-by-K restricted columns for the given flat indices,
         gathered exactly from the separable tables, in Fortran order."""
@@ -245,25 +271,29 @@ class SensingOperator:
 
         Exact complex128, one tile of atoms at a time. ``search=True`` asks
         only for a proxy to rank columns by, answered in complex64 from the
-        search entries: from the search cache once the "full-row-cache"
-        policy has built it, else from the same entries streamed in the same
-        tiles as the exact product.
+        search entries, streamed in the same tiles as the exact product.
+        Under the "full-row-cache" policy the first search writes each tile
+        into the search cache as it goes, and later searches multiply that.
         """
         residual = np.asarray(residual, dtype=np.complex128)
         if residual.shape != (self.n_rows,):
             raise ValueError(f"residual must have shape ({self.n_rows},)")
         r_conj = residual.conj()
+        cache = None
         if search:
-            self._ensure_cache()
             r_conj = r_conj.astype(np.complex64)
             if self._cache is not None:
                 out = r_conj @ self._cache
                 return np.conj(out, out=out)
+            if self.cache_policy == "full-row-cache":
+                cache = np.empty((self.n_rows, self.n_cols), dtype=np.complex64)
         out = np.empty(self.n_cols, dtype=r_conj.dtype)
-        for start, stop, block in self._tiles(r_conj.dtype):
+        for start, stop, block in self._tiles(r_conj.dtype, cache):
             # out= keeps one product temporary alive, not two
             np.conj(r_conj @ block, out=out[start:stop])
             del block
+        if cache is not None:
+            self._cache = cache  # only once every tile is in
         return out
 
     def column_norms(self) -> np.ndarray:
@@ -271,10 +301,9 @@ class SensingOperator:
 
         Every unmasked entry is cos + j sin of one phase, so a norm is the
         square root of the column's count of unmasked entries. The first
-        walk over the tiles records the counts: the search cache build, a
-        streamed adjoint, or else a complex64 walk here.
+        walk over the tiles records the counts: a search adjoint, an exact
+        one, or else a complex64 walk here, which keeps no cache.
         """
-        self._ensure_cache()
         if self._norms is None:
             for _ in self._tiles(np.complex64):
                 pass

@@ -60,6 +60,30 @@ def test_every_export_resolves(name):
     assert not missing
 
 
+@pytest.mark.parametrize("module", ["config", "cli"])
+def test_memory_rule_lives_in_the_operator(module, params, grid):
+    # config.py and cli.py ask for "full-row-cache" and leave the memory
+    # rule to the operator and ExperimentSpec: no private operator name
+    tree = ast.parse((Path(sarcs.__file__).parent / f"{module}.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("operator", "sarcs.operator")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ] + [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "operator"
+        and node.attr.startswith("_")
+    ]
+    assert private == []
+    # perfbench/spans.py reads the policy an operator settled on
+    selection = sarcs.select_measurements(4, params.nr * params.na, seed=0)
+    for policy in ("none", "full-row-cache"):
+        assert sarcs.SensingOperator(params, grid, selection, policy).cache_policy == policy
+
+
 def test_benchmark_still_binds_to_the_package(monkeypatch):
     # perfbench/ reads run_trial's recovery defaults, swaps sarcs.cli
     # attributes by name, passes cache_policy to the library and puts the

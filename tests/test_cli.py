@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -7,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import sarcs
 from sarcs import cli, experiments, operator
 from sarcs.cli import main
 from sarcs.storage import read_profile_csv
-from sarcs.config import load_config
+from sarcs.config import _KEYS, load_config
 
 SMALL_BASE = """
 [radar]
@@ -175,8 +180,9 @@ class TestImageCs:
         real = cli.SensingOperator
 
         def recording(*args):
-            policies.append(args[-1])
-            return real(*args)
+            op = real(*args)
+            policies.append(op.cache_policy)
+            return op
 
         monkeypatch.setattr(cli, "SensingOperator", recording)
         for name, memory in (("cached", 12 * 1024), ("streamed", 12 * 1024 - 1)):
@@ -397,11 +403,21 @@ class TestErrorPaths:
             ("range_samples = 104", "range_samples = 104\npropagation_speed = 3e8",
              "[radar] propagation_speed"),
             (SCENE_TARGETS, "targets = 2004.0,1.0,0.0,0.0,inf", "[scene] targets"),
+            # the three seeds that key Philox directly
+            ("selection_seed = 3", "selection_seed = -1", "[recovery] selection_seed"),
+            (SCENE_TARGETS, "random_targets = 2\nscene_seed = -5", "[scene] scene_seed"),
+            ("0.0,-5.0\n", "0.0,-5.0\nsnr_db = 5\nnoise_seed = 18446744073709551616\n",
+             "[scene] noise_seed"),
             (SCENE_TARGETS, "targets = 2004.0,1.0,0.0,0.0,1.0,nan", "[scene] targets"),
             ("trials_per_point", "snr_values_db = 5,nan\ntrials_per_point",
              "[experiment] snr_values_db"),
             ("trials_per_point", "snr_values_db = -inf\ntrials_per_point",
              "[experiment] snr_values_db"),
+            # 10 ** (3001 / 10) is no float
+            ("0.0,-5.0\n", "0.0,-5.0\nsnr_db = -3001\n", "[scene] snr_db"),
+            ("pulse_width = 2e-6", "pulse_width = inf", "[radar]/[grid]"),
+            # 2 * f0 / c overflows, so would every sample's phase
+            ("carrier_frequency = 1e10", "carrier_frequency = 1e308", "[radar]/[grid]"),
         ],
         ids=[
             "snr-nan", "snr-minus-inf", "measurements-above-nr-na", "sparsity-0",
@@ -410,8 +426,10 @@ class TestErrorPaths:
             "sparsity-above-cells", "targets-same-cell", "trials-0", "no-target-counts",
             "no-measurement-counts", "snr-sweep-without-snrs", "mode-fig2",
             "hypothesis-off-grid", "cache-policy-is-not-a-key",
-            "propagation-speed-is-not-a-key", "reflectivity-inf", "reflectivity-nan",
-            "snr-values-nan", "snr-values-minus-inf",
+            "propagation-speed-is-not-a-key", "reflectivity-inf", "selection-seed-negative",
+            "scene-seed-negative", "noise-seed-2-to-64", "reflectivity-nan",
+            "snr-values-nan", "snr-values-minus-inf", "snr-below-3000-db", "pulse-width-inf",
+            "carrier-phase-overflows",
         ],
     )
     def test_bad_value_fails_at_load_naming_key(
@@ -511,6 +529,15 @@ class TestErrorPaths:
         assert "zero_truth.csv" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_noise_on_an_empty_echo_names_the_snr(self, tmp_path, capsys):
+        # the one target misses the sample window: the echo has no power
+        text = SMALL_BASE + "\n[scene]\ntargets = 9000.0,1.0,0.0,0.0\nsnr_db = 5\n"
+        cfg_path = write_config(tmp_path, text, "sim")
+        with pytest.warns(UserWarning, match="outside the sample window"):
+            assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "[scene] snr_db: echo is identically zero" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_image_mf_accepts_the_truth_of_an_empty_scene(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_BASE, "sim")
         assert main(["simulate", "--config", str(cfg_path)]) == 0
@@ -578,6 +605,159 @@ class TestErrorPaths:
         assert result.returncode == 130
         assert result.stderr == "interrupted\n"
         assert not (tmp_path / "interrupted").exists()
+
+
+def run_main(argv) -> tuple[int, str]:
+    """``main``'s exit code and everything it printed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = main(argv)
+    return code, printed.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small config (with a sweep) and the echo and truth it simulates."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg_path = write_config(root, SMALL_SCENE + TestSweep.SWEEP[len(SMALL_BASE):], "sim")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    return root, cfg_path, root / "sim"
+
+
+# derandomized and few examples, so the four fuzzers take a few seconds
+fuzz = settings(
+    deadline=None, derandomize=True, database=None, max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+PHILOX_SEEDS = {"selection_seed": "recovery", "scene_seed": "scene", "noise_seed": "scene"}
+
+# keys that size arrays take only small numbers, so no example allocates much
+SIZES = {
+    "range_samples", "azimuth_samples", "nx", "ny", "nvx", "nvy", "random_targets",
+    "measurements", "sparsity", "target_counts", "measurement_counts", "trials_per_point",
+    "threads",
+}
+
+
+def key_values(row):
+    if row.key in SIZES:
+        numbers = st.integers(-3, 12)
+    elif row.key.endswith("_seed"):
+        numbers = st.integers(-(2**70), 2**70)
+    else:
+        numbers = st.integers(-(10**6), 10**6)
+    return st.one_of(
+        numbers.map(str),
+        st.floats().map(repr),
+        st.text(alphabet="0123456789.,;-+eEinfa x#[]=\n", max_size=12),
+    ).map(lambda value: (row, value))
+
+
+def render_config(sections: dict) -> str:
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in sections.items()
+    )
+
+
+def base_sections(root) -> dict:
+    return {
+        "radar": {"range_samples": 104, "azimuth_samples": 32, "platform_speed": 100.0,
+                  "carrier_frequency": 1e10, "pulse_width": 2e-6, "bandwidth": 40e6,
+                  "range_sample_rate": 50e6, "prf": 100.0},
+        "grid": {"x_origin": 2000.0, "y_origin": 0.0, "vx_origin": -5.0, "vy_origin": -5.0,
+                 "bin_x": 2.0, "bin_y": 1.0, "bin_vx": 5.0, "bin_vy": 5.0,
+                 "nx": 4, "ny": 4, "nvx": 2, "nvy": 2},
+        "scene": {"random_targets": 2, "snr_db": 5.0},
+        "recovery": {"measurements": 24},
+        "experiment": {"target_counts": 1, "measurement_counts": "8,16"},
+        "output": {"directory": root / "out"},
+    }
+
+
+class TestFuzz:
+    """Arbitrary config text, echo bytes and truth bytes reach ``main``:
+    every outcome is a documented exit code, never a traceback, and a
+    failure names the config key or the file at fault."""
+
+    @fuzz
+    @given(key=st.sampled_from(sorted(PHILOX_SEEDS)), seed=st.integers(-(2**80), 2**80))
+    @example(key="selection_seed", seed=-1)
+    @example(key="scene_seed", seed=2**64 - 1)
+    @example(key="noise_seed", seed=2**64)
+    def test_seeds_across_the_int_range(self, fuzz_inputs, key, seed):
+        root, _, _ = fuzz_inputs
+        sections = base_sections(root)
+        sections[PHILOX_SEEDS[key]][key] = seed
+        cfg_path = root / "seed.ini"
+        cfg_path.write_text(render_config(sections))
+        code, printed = run_main(["simulate", "--config", str(cfg_path)])
+        if 0 <= seed < 2**64:
+            assert code == 0, printed
+        else:
+            assert code == 1 and f"[{PHILOX_SEEDS[key]}] {key}" in printed, printed
+
+    @fuzz
+    @given(overrides=st.lists(st.sampled_from(_KEYS).flatmap(key_values), min_size=1,
+                              max_size=3))
+    def test_config_text(self, fuzz_inputs, monkeypatch, overrides):
+        root, _, _ = fuzz_inputs
+        monkeypatch.chdir(root)  # a fuzzed relative [output] directory lands here
+        sections = base_sections(root)
+        for row, value in overrides:
+            sections.setdefault(row.section, {})[row.key] = value
+        cfg_path = root / "fuzzed.ini"
+        cfg_path.write_text(render_config(sections))
+        code, printed = run_main(["simulate", "--config", str(cfg_path)])
+        assert code in (0, 1, 2, 3) and "Traceback" not in printed
+        if code:
+            # a key or section ("[radar]/[grid]" for the geometry), or the file
+            text = cfg_path.read_text()
+            known = {row.section for row in _KEYS} | set(re.findall(r"^\[(.*)\]", text, re.M))
+            named = [f"[{section}]" for section in known] + [str(cfg_path)]
+            assert any(name in printed for name in named), (printed, overrides)
+
+    @fuzz
+    @given(data=st.data())
+    def test_echo_bytes(self, fuzz_inputs, data):
+        root, cfg_path, sim = fuzz_inputs
+        raw = (sim / "echo.bin").read_bytes()
+        kind = data.draw(st.sampled_from(["bytes", "truncated", "patched"]))
+        if kind == "bytes":
+            raw = data.draw(st.binary(max_size=64))
+        elif kind == "truncated":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 8))
+            word = data.draw(st.one_of(st.binary(min_size=8, max_size=8),
+                                       st.floats().map(lambda x: struct.pack("<d", x))))
+            raw = raw[:at] + word + raw[at + 8:]
+        echo = root / "fuzzed_echo.bin"
+        echo.write_bytes(raw)
+        code, printed = run_main(["image-cs", "--config", str(cfg_path), "--echo", str(echo),
+                                  "--output", str(root / "cs")])
+        assert code in (0, 1, 2, 3) and "Traceback" not in printed
+        if code:
+            assert "fuzzed_echo.bin" in printed, printed
+
+    @fuzz
+    @given(content=st.one_of(
+        st.binary(max_size=80),
+        st.lists(st.text(alphabet="0123456789.,-einfa", max_size=24), max_size=4).map(
+            lambda rows: "\n".join(["flat_index,n1,n2,p,q,re,im", *rows]).encode()
+        ),
+    ))
+    def test_truth_bytes(self, fuzz_inputs, content):
+        root, cfg_path, sim = fuzz_inputs
+        truth = root / "fuzzed_truth.csv"
+        truth.write_bytes(content)
+        code, printed = run_main(["image-cs", "--config", str(cfg_path),
+                                  "--echo", str(sim / "echo.bin"), "--truth", str(truth),
+                                  "--output", str(root / "cs")])
+        assert code in (0, 1, 2, 3) and "Traceback" not in printed
+        if code:
+            assert "fuzzed_truth.csv" in printed, printed
 
 
 def _package_env(**extra) -> dict:

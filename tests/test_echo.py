@@ -153,7 +153,7 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="identically zero"):
             add_noise(echo, 10.0, seed=1)
 
-    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, -3000.5])
     def test_non_finite_snr_rejected_naming_it(self, params, snr):
         echo = point_echo(Target(2000.0, 0.0, 0.0, 0.0), params)
         with pytest.raises(ValueError, match="snr_db: must be finite, or inf"):

@@ -231,10 +231,13 @@ class TestExperimentSpec:
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
         need = 16 * grid.size * 8 * 3  # largest M, N columns, complex64, 3 workers
         monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need)
-        ExperimentSpec(workers=3, **kwargs)
-        ExperimentSpec(workers=4, cache_policy="none", **kwargs)
-        with pytest.raises(ValueError, match="physical memory"):
-            ExperimentSpec(workers=4, **kwargs)
+        cached = ExperimentSpec(workers=3, **kwargs)
+        streamed = ExperimentSpec(workers=4, **kwargs)
+        assert (cached.cache_policy, streamed.cache_policy) == ("full-row-cache", "none")
+        assert ExperimentSpec(workers=4, cache_policy="none", **kwargs) == streamed
+        # the policy stays as resolved; run both sweeps in this process
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        assert repr(psr_sweep(streamed)) == repr(psr_sweep(cached))
 
 
 class TestPsrSweep:

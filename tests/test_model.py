@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,16 @@ class TestRadarParams:
             kwargs[field] = value
             with pytest.raises(ValueError):
                 RadarParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["v", "f0", "tp", "bandwidth", "fs", "fa", "tau0"])
+    def test_requires_finite_constants(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(small_radar(), **{field: math.inf})
+
+    def test_overflowing_pulse_samples_are_refused_not_raised(self):
+        # tp * fs overflows to inf: a window too short, not an OverflowError
+        with pytest.raises(ValueError, match="shorter than"):
+            dataclasses.replace(small_radar(), tp=1e300, fs=1e300)
 
     def test_time_axes(self):
         p = small_radar()
@@ -145,6 +156,11 @@ class TestExtendedGridValidation:
                 nx=1, ny=1, nvx=1, nvy=1,
             )
 
+    @pytest.mark.parametrize("field", ["x0", "y0", "vx0", "vy0", "dx", "dy", "dvx", "dvy"])
+    def test_requires_finite_axes(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(small_search_grid(), **{field: math.nan})
+
     def test_rejects_zero_counts(self):
         with pytest.raises(ValueError, match="counts"):
             ExtendedGrid(
@@ -186,3 +202,10 @@ class TestSimulationGeometry:
         )
         with pytest.raises(ValueError, match="platform speed"):
             check_simulation_geometry(small_radar(), grid)
+
+    @pytest.mark.parametrize("field, value", [("f0", 8.98846567431158e307), ("bandwidth", 1e308)])
+    def test_phase_that_overflows_is_rejected(self, field, value):
+        # 2 * f0 or the chirp's (kr / 2) tp^2 leaves float64: every sample would be nan
+        params = dataclasses.replace(small_radar(), **{field: value})
+        with pytest.raises(ValueError, match="overflow a float"):
+            check_simulation_geometry(params, small_search_grid())

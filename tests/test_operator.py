@@ -81,14 +81,33 @@ class TestOperatorConstruction:
             SensingOperator(params, grid, sel, cache_policy="rows")
 
     def test_row_cache_must_fit_physical_memory(self, params, grid, monkeypatch):
+        # a search cache that does not fit is not kept: the operator streams
         sel = select_measurements(8, params.nr * params.na, seed=0)
         need = 8 * grid.size * 8  # M rows, N columns, complex64
-        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need)
-        SensingOperator(params, grid, sel, cache_policy="full-row-cache")
-        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: need - 1)
-        SensingOperator(params, grid, sel, cache_policy="none")
-        with pytest.raises(ValueError, match="physical memory"):
-            SensingOperator(params, grid, sel, cache_policy="full-row-cache")
+        residual = np.arange(8) - 2.5j
+        proxies = []
+        for memory, policy in ((need, "full-row-cache"), (need - 1, "none")):
+            monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: memory)
+            op = SensingOperator(params, grid, sel, cache_policy="full-row-cache")
+            assert op.cache_policy == policy
+            proxies.append(op.adjoint(residual, search=True))
+            assert (op._cache is not None) == (policy == "full-row-cache")
+            proxies.append(op.adjoint(residual, search=True))
+        assert all(proxy.tobytes() == proxies[0].tobytes() for proxy in proxies)
+
+    def test_row_cache_must_fit_cgroup_memory(self, params, grid, monkeypatch):
+        sel = select_measurements(8, params.nr * params.na, seed=0)
+        need = 8 * grid.size * 8
+        monkeypatch.setattr(operator, "_physical_memory_bytes", lambda: 2 * need)
+        for limit, policy in ((need, "full-row-cache"), (need - 1, "none")):
+            monkeypatch.setattr(operator, "_cgroup_memory_limit", lambda: limit)
+            assert SensingOperator(params, grid, sel, "full-row-cache").cache_policy == policy
+
+    def test_norms_alone_keep_no_cache(self, params, grid):
+        sel = select_measurements(8, params.nr * params.na, seed=0)
+        op = SensingOperator(params, grid, sel, cache_policy="full-row-cache")
+        op.column_norms()
+        assert op.cache_policy == "full-row-cache" and op._cache is None
 
     def test_no_cache_when_policy_none(self, params, grid):
         sel = select_measurements(8, params.nr * params.na, seed=0)
@@ -108,10 +127,58 @@ class TestOperatorConstruction:
                 op.columns(np.array(bad))
         assert op.columns(np.empty(0, dtype=np.int64)).shape == (8, 0)
         assert op.columns([grid.size - 1]).shape == (8, 1)
-        # exact atoms come from the tables; only the norms or a search build the cache
+        # exact atoms come from the tables; only a search fills the cache
         assert op._cache is None
-        op.column_norms()
+        op.adjoint(np.ones(8), search=True)
         assert (op._cache is not None) == (policy == "full-row-cache")
+
+
+class TestCgroupMemoryLimit:
+    """The memory rule's cgroup reader, pointed at fake files: a real
+    cgroup is never read here, nor changed."""
+
+    @staticmethod
+    def limit(tmp_path, proc_text, files):
+        proc = tmp_path / "cgroup"
+        proc.write_text(proc_text)
+        for name, text in files.items():
+            path = tmp_path / "fs" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return operator._cgroup_memory_limit(str(proc), str(tmp_path / "fs"))
+
+    @pytest.mark.parametrize(
+        "proc_text, files, expected",
+        [
+            ("0::/\n", {"memory.max": "1048576\n"}, 1048576),
+            ("0::/user.slice/run\n", {"user.slice/run/memory.max": "4096\n"}, 4096),
+            ("0::/\n", {"memory.max": "max\n"}, math.inf),
+            ("4:memory:/box\n1:cpu:/\n", {"memory/box/memory.limit_in_bytes": "8192\n"}, 8192),
+            ("4:memory:/box\n", {"memory/box/memory.limit_in_bytes": "9223372036854771712\n"},
+             math.inf),
+            # hybrid: the smaller limit holds
+            ("4:memory:/box\n0::/box\n",
+             {"memory/box/memory.limit_in_bytes": "8192\n", "box/memory.max": "4096\n"}, 4096),
+            ("0::/gone\n", {}, math.inf),
+            ("0::/\n", {"memory.max": "lots\n"}, math.inf),
+            ("garbage\n1:cpu,cpuacct:/\n", {}, math.inf),
+        ],
+        ids=["v2-root", "v2-nested", "v2-max", "v1", "v1-sentinel", "hybrid", "unreadable",
+             "unparsable", "no-memory-line"],
+    )
+    def test_reads_the_limit_of_this_process(self, tmp_path, proc_text, files, expected):
+        assert self.limit(tmp_path, proc_text, files) == expected
+
+    def test_no_proc_file_means_physical_memory(self, tmp_path):
+        assert operator._cgroup_memory_limit(str(tmp_path / "none"), str(tmp_path)) == math.inf
+
+    def test_read_only_when_a_cache_is_asked_for(self, params, grid, monkeypatch):
+        def refuse():
+            raise AssertionError("cgroup read for a streaming operator")
+
+        monkeypatch.setattr(operator, "_cgroup_memory_limit", refuse)
+        sel = select_measurements(4, params.nr * params.na, seed=0)
+        SensingOperator(params, grid, sel, cache_policy="none")
 
 
 class TestAtomSample:
@@ -210,15 +277,17 @@ class TestTiles:
         # for the cached search entries and for the streamed ones
         eps32 = float(np.finfo(np.float32).eps)
         bound = (operator._SEARCH_ENTRY_ERROR + (sel.m + 2) * eps32) * np.abs(residual).sum()
-        for op in (cached, direct):
+        # the cached operator's first search streams and fills the cache,
+        # its second multiplies the cache
+        for op in (cached, cached, direct):
             search = op.adjoint(residual, search=True)
             assert search.dtype == np.complex64
             assert np.abs(search - exact).max() <= bound
 
     @pytest.mark.parametrize("pairs", [1, 3, 6])
     def test_streamed_search_blocks_equal_cache(self, params, tile_grid, monkeypatch, pairs):
-        _, cached, direct = self.tile_operators(params, tile_grid, monkeypatch, pairs)
-        cached.column_norms()
+        sel, cached, direct = self.tile_operators(params, tile_grid, monkeypatch, pairs)
+        cached.adjoint(np.ones(sel.m), search=True)
         blocks = [block for _, _, block in direct._tiles(np.complex64)]
         assert len(blocks) == math.ceil(6 / pairs)
         assert np.array_equal(np.concatenate(blocks, axis=1), cached._cache)
@@ -237,8 +306,8 @@ class TestTiles:
         if x_origin is not None:
             params = dataclasses.replace(params, f0=carrier, tau0=2.0 * x_origin / params.c)
             tile_grid = dataclasses.replace(tile_grid, x0=x_origin)
-        _, cached, direct = self.tile_operators(params, tile_grid, monkeypatch, pairs)
-        cached.column_norms()  # builds the search cache under the patched tile size
+        sel, cached, direct = self.tile_operators(params, tile_grid, monkeypatch, pairs)
+        cached.adjoint(np.ones(sel.m), search=True)  # fills the cache in the patched tiles
         exact = direct.columns(np.arange(tile_grid.size))
         assert cached._cache.dtype == np.complex64
         assert np.array_equal(cached._cache == 0, exact == 0)
@@ -250,7 +319,7 @@ class TestSearchCache:
     def test_production_grid_entries_within_bound(self, full_params, full_grid, m):
         sel = select_measurements(m, full_params.nr * full_params.na, seed=m)
         cached = SensingOperator(full_params, full_grid, sel, cache_policy="full-row-cache")
-        cached.column_norms()
+        cached.adjoint(np.ones(m), search=True)
         direct = SensingOperator(full_params, full_grid, sel, cache_policy="none")
         for start in range(0, full_grid.size, 16_384):
             flats = np.arange(start, min(start + 16_384, full_grid.size))
@@ -281,7 +350,7 @@ class TestEnvelopeUpperEdge:
         rows = np.array([m - 1, m]) + params.nr * n
         op = SensingOperator(params, grid, MeasurementSelection(rows, seed=0), "full-row-cache")
         flat = flat_index(coord, grid)
-        op.column_norms()
+        op.adjoint(np.ones(2), search=True)
         for samples in (op.columns([flat])[:, 0], op._cache[:, flat]):
             assert samples[0] != 0 and samples[1] == 0
         echo = point_echo(Target(x, y, vx, vy), params).samples[:, n]
@@ -414,9 +483,11 @@ class TestColumnNorms:
         tiles = len(calls)
         assert tiles  # the patch reaches the operator
         cached = SensingOperator(params, grid, sel, cache_policy="full-row-cache")
-        cached.adjoint(np.ones(16, dtype=complex), search=True)
-        assert len(calls) == 2 * tiles  # the build, one envelope per tile
+        proxy = cached.adjoint(np.ones(16, dtype=complex), search=True)
+        assert len(calls) == 2 * tiles  # the first search, one envelope per tile
+        assert cached._cache is not None  # ... filled the cache as it went
         assert np.array_equal(cached.column_norms(), streamed.column_norms())
+        assert cached.adjoint(np.ones(16, dtype=complex), search=True).tobytes() == proxy.tobytes()
         assert len(calls) == 2 * tiles
         # a streamed search records the norms from its own tiles' masks
         searched = SensingOperator(params, grid, sel, cache_policy="none")

@@ -77,7 +77,7 @@ def test_search_entries_within_bound_at_any_range_and_carrier(log10_range, carri
     grid = dataclasses.replace(small_search_grid(), x0=x0)
     sel = select_measurements(m, TOTAL, seed)
     cached = SensingOperator(params, grid, sel, "full-row-cache")
-    cached.column_norms()
+    cached.adjoint(np.ones(m), search=True)
     exact = SensingOperator(params, grid, sel, "none").columns(np.arange(grid.size))
     assert np.array_equal(cached._cache == 0, exact == 0)
     assert np.abs(cached._cache - exact).max() <= operator._SEARCH_ENTRY_ERROR
@@ -91,6 +91,7 @@ def test_column_norms_are_square_roots_of_nonzero_counts(grid, m, seed, data):
     with mock.patch.object(operator, "_BLOCK_ELEMENTS", pairs * m * grid.nx * grid.ny):
         cached = SensingOperator(PARAMS, grid, sel, "full-row-cache")
         direct = SensingOperator(PARAMS, grid, sel, "none")
+        cached.adjoint(np.ones(m), search=True)  # fills the cache, counting the norms
         norms = {policy: op.column_norms() for policy, op in zip(POLICIES, (direct, cached))}
     counts = np.count_nonzero(direct.columns(np.arange(grid.size)), axis=0)
     assert np.array_equal(norms["none"], np.sqrt(counts))
